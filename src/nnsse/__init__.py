@@ -50,7 +50,6 @@ from .model import (
     Topology,
     TopologyKind,
     forward,
-    observe,
     predict_ahead,
     transition,
     transition_jacobian,

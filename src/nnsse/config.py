@@ -1,6 +1,6 @@
 """Experiment config files: INI-style sections of key = value pairs.
 
-Grammar (see README for a complete example)::
+Grammar (``configs/table1.ini`` is a complete example)::
 
     [trajectory]
     source = sine            # sine | file

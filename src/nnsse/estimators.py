@@ -1,10 +1,10 @@
 """Bayesian estimator back-ends: linear/extended/unscented Kalman and particle.
 
-All four operate on state-space maps with a scalar observation (the first
-state coordinate).  The nonlinear estimators accept any model object exposing
-``transition``/``observe`` (plus ``transition_jacobian`` for the extended
-variant); batched variants (``transition_batch``/``observe_batch``) are used
-when present.
+All four observe the first state coordinate, a scalar, and the three Kalman
+variants end in the same scalar-observation update.  The unscented and
+particle estimators take any model object exposing ``transition_batch``
+(rows are states); the extended variant takes ``transition`` and
+``transition_jacobian``.
 """
 
 from __future__ import annotations
@@ -49,17 +49,22 @@ class GaussianBelief:
 
 @dataclass(frozen=True)
 class UkeParams:
-    """Unscented-transform spread parameters; lambda = alpha^2 (n+kappa) - n."""
+    """Unscented-transform spread parameters; lambda = alpha^2 (n+kappa) - n.
 
-    alpha: float = 1e-3
-    beta: float = 2.0
+    The defaults are unit spread with plain symmetric weights.  The tiny-alpha
+    scaled transform is indefinite on the bilinear position*weight transition
+    (its zeroth covariance weight, about -1/alpha^2, amplifies the
+    second-order mean correction), and beta=2 reintroduces a negative zeroth
+    weight that destabilizes the deeper network maps; beta=0 keeps every
+    covariance weight nonnegative, so the reconstruction stays PSD.
+    """
+
+    alpha: float = 1.0
+    beta: float = 0.0
     kappa: float = 0.0
 
     def lam(self, n: int) -> float:
         return self.alpha ** 2 * (n + self.kappa) - n
-
-
-DEFAULT_UKE_PARAMS = UkeParams()
 
 
 @dataclass
@@ -99,7 +104,7 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
         "matrix square root failed at maximum jitter 1e-6*trace/n")
 
 
-def uke_sigma_points(belief: GaussianBelief, params: UkeParams = DEFAULT_UKE_PARAMS) -> SigmaSet:
+def uke_sigma_points(belief: GaussianBelief, params: UkeParams = UkeParams()) -> SigmaSet:
     """Sigma points around a Gaussian belief with the scaled-spread weights."""
     n = belief.mean.size
     lam = params.lam(n)
@@ -118,18 +123,6 @@ def uke_sigma_points(belief: GaussianBelief, params: UkeParams = DEFAULT_UKE_PAR
     return SigmaSet(points, w_mean, w_cov)
 
 
-def _apply_transition_batch(model, X: np.ndarray) -> np.ndarray:
-    if hasattr(model, "transition_batch"):
-        return model.transition_batch(X)
-    return np.stack([model.transition(x) for x in X])
-
-
-def _apply_observe_batch(model, X: np.ndarray) -> np.ndarray:
-    if hasattr(model, "observe_batch"):
-        return np.asarray(model.observe_batch(X), dtype=float)
-    return np.array([model.observe(x) for x in X], dtype=float)
-
-
 def _scalar_update(x_pred: np.ndarray, P_pred: np.ndarray, H: np.ndarray,
                    R: float, z: float):
     """Shared scalar-observation measurement update.
@@ -145,8 +138,7 @@ def _scalar_update(x_pred: np.ndarray, P_pred: np.ndarray, H: np.ndarray,
     z_hat = float(H @ x_pred)
     K = hP / s
     mean = x_pred + K * (z - z_hat)
-    cov = _symmetrized(P_pred - np.outer(K, hP))
-    return GaussianBelief(mean, cov), z_hat
+    return GaussianBelief(mean, P_pred - np.outer(K, hP)), z_hat
 
 
 def lke_step(F: np.ndarray, H: np.ndarray, noise: NoiseSpec,
@@ -181,11 +173,12 @@ def eke_step(model, noise: NoiseSpec, belief: GaussianBelief, z: float):
 
 
 def uke_step(model, noise: NoiseSpec, belief: GaussianBelief, z: float,
-             params: UkeParams = DEFAULT_UKE_PARAMS):
+             params: UkeParams = UkeParams()):
     """Unscented Kalman step; returns (posterior, predicted observation).
 
-    Sigma points are generated twice: once from the posterior for the time
-    update, and again from the propagated prior for the observation moments.
+    Sigma points carry the posterior through the transition; the observation
+    is the unit selector on coordinate 0, whose moments the propagated mean
+    and covariance give exactly, so the shared scalar update finishes the step.
 
     The predicted mean is the unscented expectation, not f(mean).  On the
     bilinear weighted-sum row f = w.x_in it is exact to second order,
@@ -194,27 +187,15 @@ def uke_step(model, noise: NoiseSpec, belief: GaussianBelief, z: float,
     w.x_in and drops the trace.
     """
     sig = uke_sigma_points(belief, params)
-    propagated = _apply_transition_batch(model, sig.points)
+    propagated = model.transition_batch(sig.points)
     x_pred = sig.mean_weights @ propagated
     D = propagated - x_pred
     P_pred = _symmetrized((D.T * sig.cov_weights) @ D + noise.Q)
     if not np.all(np.isfinite(P_pred)):
         raise CovarianceDegeneracyError("non-finite propagated covariance")
-
-    sig_prior = uke_sigma_points(GaussianBelief(x_pred, P_pred), params)
-    Z = _apply_observe_batch(model, sig_prior.points)
-    z_hat = float(sig_prior.mean_weights @ Z)
-    dz = Z - z_hat
-    s = float(sig_prior.cov_weights @ (dz * dz)) + noise.R
-    if not s > 0:
-        raise CovarianceDegeneracyError(
-            f"innovation variance must be positive (got {s})")
-    D_prior = sig_prior.points - x_pred
-    P_xz = D_prior.T @ (sig_prior.cov_weights * dz)
-    K = P_xz / s
-    mean = x_pred + K * (z - z_hat)
-    cov = _symmetrized(P_pred - np.outer(K, K) * s)
-    return GaussianBelief(mean, cov), z_hat
+    H = np.zeros(x_pred.size)
+    H[0] = 1.0
+    return _scalar_update(x_pred, P_pred, H, noise.R, z)
 
 
 @dataclass
@@ -267,9 +248,9 @@ def pe_step(model, noise: NoiseSpec, particles: ParticleSet, z: float,
     N = particles.particles.shape[0]
     if N < 2:
         raise ValueError("particle estimator needs at least 2 particles")
-    X = _apply_transition_batch(model, particles.particles)
+    X = model.transition_batch(particles.particles)
     X = X + _draw_process_noise(noise.Q, N, rng)
-    obs = _apply_observe_batch(model, X)
+    obs = X[:, 0]
     lik = np.exp(-0.5 * (z - obs) ** 2 / noise.R) / np.sqrt(2.0 * np.pi * noise.R)
     w = particles.weights * lik
     total = float(w.sum())

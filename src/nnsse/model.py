@@ -33,7 +33,7 @@ class Activation(Enum):
 
 @dataclass(frozen=True)
 class Topology:
-    """Architecture descriptor: layer widths, activation, horizon and rate.
+    """Architecture descriptor: layer widths, activation and horizon.
 
     ``layer_widths`` starts with the input width ``b`` and ends with the
     output width, which must be exactly 1.  A weighted-sum topology is the
@@ -44,7 +44,6 @@ class Topology:
     layer_widths: tuple[int, ...]
     hidden_activation: Activation = Activation.IDENTITY
     horizon_a: int = 1
-    sample_period_T: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
@@ -61,20 +60,17 @@ class Topology:
                 raise ValueError("weighted-sum topology has no hidden activation")
         if self.horizon_a < 1:
             raise ValueError("horizon_a must be a positive integer")
-        if not self.sample_period_T > 0:
-            raise ValueError("sample_period_T must be > 0")
 
     @classmethod
-    def weighted_sum(cls, input_width: int, horizon_a: int = 1,
-                     sample_period_T: float = 1.0) -> "Topology":
+    def weighted_sum(cls, input_width: int, horizon_a: int = 1) -> "Topology":
         return cls(TopologyKind.WEIGHTED_SUM, (input_width, 1),
-                   Activation.IDENTITY, horizon_a, sample_period_T)
+                   Activation.IDENTITY, horizon_a)
 
     @classmethod
     def mlp(cls, layer_widths, hidden_activation: Activation = Activation.IDENTITY,
-            horizon_a: int = 1, sample_period_T: float = 1.0) -> "Topology":
+            horizon_a: int = 1) -> "Topology":
         return cls(TopologyKind.MLP, tuple(layer_widths), hidden_activation,
-                   horizon_a, sample_period_T)
+                   horizon_a)
 
     @property
     def input_width(self) -> int:
@@ -296,15 +292,6 @@ def transition_batch(topology: Topology, states: np.ndarray) -> np.ndarray:
     return out
 
 
-def observe(state) -> float:
-    """Measurement map: the newest position (index 0), noise excluded."""
-    return float(_as_values(state)[0])
-
-
-def observe_batch(states: np.ndarray) -> np.ndarray:
-    return np.asarray(states, dtype=float)[:, 0]
-
-
 def predict_ahead(topology: Topology, state) -> float:
     """Horizon-step position forecast from the newest b positions and weights."""
     values = _as_values(state)
@@ -349,25 +336,12 @@ class NetworkStateSpace:
 
     def __init__(self, topology: Topology):
         self.topology = topology
-        self.dim = topology.state_dim
 
     def transition(self, x: np.ndarray) -> np.ndarray:
         return transition(self.topology, x)
 
     def transition_batch(self, X: np.ndarray) -> np.ndarray:
         return transition_batch(self.topology, X)
-
-    def observe(self, x: np.ndarray) -> float:
-        return observe(x)
-
-    def observe_batch(self, X: np.ndarray) -> np.ndarray:
-        return observe_batch(X)
-
-    def predict_ahead(self, x: np.ndarray) -> float:
-        return predict_ahead(self.topology, x)
-
-    def predict_ahead_batch(self, X: np.ndarray) -> np.ndarray:
-        return predict_ahead_batch(self.topology, X)
 
     def transition_jacobian(self, x: np.ndarray) -> np.ndarray:
         return transition_jacobian(self.topology, x)

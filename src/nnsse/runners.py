@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import zlib
 from collections import deque
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .baselines import (
     uam_model,
 )
 from .estimators import (
-    DEFAULT_UKE_PARAMS,
     GaussianBelief,
     ParticleSet,
     UkeParams,
@@ -68,15 +68,6 @@ DEFAULTS = {
     "pe_p0_w": 1e-4,
     "pe_q_pos": 1e-3,
     "stack_q": 1e-4,
-    # Unit spread with plain symmetric weights.  The tiny-alpha scaled
-    # transform is indefinite on the bilinear position*weight transition
-    # (its zeroth covariance weight, about -1/alpha^2, amplifies the
-    # second-order mean correction), and beta=2 reintroduces a negative
-    # zeroth weight that destabilizes the deeper network maps; beta=0 keeps
-    # every covariance weight nonnegative, so the reconstruction stays PSD.
-    "alpha": 1.0,
-    "beta": 0.0,
-    "kappa": DEFAULT_UKE_PARAMS.kappa,
 }
 
 
@@ -101,45 +92,21 @@ class Runner:
         return None
 
 
-class LinearKalmanRunner(Runner):
-    """LKE over a fixed (F, H) pair with a model-specific multi-step forecast."""
+class GaussianRunner(Runner):
+    """Kalman-family runner: one step function over a Gaussian belief.
 
-    def __init__(self, name, horizon, F, H, noise: NoiseSpec, predict_fn,
-                 init_mean_fn):
-        super().__init__(name, horizon)
-        self.F = np.asarray(F, dtype=float)
-        self.H = np.asarray(H, dtype=float)
-        self.noise = noise
-        self.predict_fn = predict_fn
-        self.init_mean_fn = init_mean_fn
-        self.belief: GaussianBelief | None = None
-        self.warmup_hint = self.F.shape[0]
-
-    def step(self, z: float) -> float:
-        if self.belief is None:
-            self.belief = GaussianBelief(self.init_mean_fn(z), self.noise.Pi0)
-        else:
-            self.belief, _ = lke_step(self.F, self.H, self.noise, self.belief, z)
-        return float(self.predict_fn(self.belief.mean))
-
-    def covariance(self):
-        return None if self.belief is None else self.belief.cov
-
-
-class UkeRunner(Runner):
-    """UKE over a transition model.
-
-    The forecast is the plug-in ``predict_fn(posterior mean)``, not the
-    unscented expectation of the forecast map; `PeRunner` instead forecasts
-    the weighted average of the per-particle forecasts.
+    ``step_fn(belief, z)`` is `lke_step`, `uke_step` or `eke_step` with its
+    model and noise already bound.  The forecast is the plug-in
+    ``predict_fn(posterior mean)``, not the unscented expectation of the
+    forecast map; `PeRunner` instead forecasts the weighted average of the
+    per-particle forecasts.
     """
 
-    def __init__(self, name, horizon, model, noise: NoiseSpec, params: UkeParams,
-                 predict_fn, init_mean_fn, warmup_hint=1):
+    def __init__(self, name, horizon, step_fn, P0, predict_fn, init_mean_fn,
+                 warmup_hint):
         super().__init__(name, horizon)
-        self.model = model
-        self.noise = noise
-        self.params = params
+        self.step_fn = step_fn
+        self.P0 = P0
         self.predict_fn = predict_fn
         self.init_mean_fn = init_mean_fn
         self.belief: GaussianBelief | None = None
@@ -147,32 +114,9 @@ class UkeRunner(Runner):
 
     def step(self, z: float) -> float:
         if self.belief is None:
-            self.belief = GaussianBelief(self.init_mean_fn(z), self.noise.Pi0)
+            self.belief = GaussianBelief(self.init_mean_fn(z), self.P0)
         else:
-            self.belief, _ = uke_step(self.model, self.noise, self.belief, z,
-                                      self.params)
-        return float(self.predict_fn(self.belief.mean))
-
-    def covariance(self):
-        return None if self.belief is None else self.belief.cov
-
-
-class EkeRunner(Runner):
-    def __init__(self, name, horizon, model, noise: NoiseSpec, predict_fn,
-                 init_mean_fn, warmup_hint=1):
-        super().__init__(name, horizon)
-        self.model = model
-        self.noise = noise
-        self.predict_fn = predict_fn
-        self.init_mean_fn = init_mean_fn
-        self.belief: GaussianBelief | None = None
-        self.warmup_hint = warmup_hint
-
-    def step(self, z: float) -> float:
-        if self.belief is None:
-            self.belief = GaussianBelief(self.init_mean_fn(z), self.noise.Pi0)
-        else:
-            self.belief, _ = eke_step(self.model, self.noise, self.belief, z)
+            self.belief, _ = self.step_fn(self.belief, z)
         return float(self.predict_fn(self.belief.mean))
 
     def covariance(self):
@@ -281,7 +225,7 @@ def _uam_noise(m: UamModel, q: float, r: float, p0: float) -> NoiseSpec:
     return NoiseSpec(Q, r, p0 * np.eye(k))
 
 
-def _parse_network(params, horizon, T):
+def _parse_network(params, horizon):
     net = str(params.pop("network", "weighted_sum")).strip().lower()
     activation = str(params.pop("activation", "identity")).strip().lower()
     act = {"identity": Activation.IDENTITY, "tanh": Activation.TANH}.get(activation)
@@ -291,13 +235,13 @@ def _parse_network(params, horizon, T):
         b = _pop_int(params, "input_width", 25)
         if act is not Activation.IDENTITY:
             raise ConfigError("weighted_sum network has no hidden activation")
-        return Topology.weighted_sum(b, horizon_a=horizon, sample_period_T=T)
+        return Topology.weighted_sum(b, horizon_a=horizon)
     try:
         widths = [int(w) for w in net.replace("x", "-").split("-")]
     except ValueError:
         raise ConfigError(f"cannot parse network spec {net!r}") from None
     params.pop("input_width", None)
-    return Topology.mlp(widths, act, horizon_a=horizon, sample_period_T=T)
+    return Topology.mlp(widths, act, horizon_a=horizon)
 
 
 def _nnssm_noise(top: Topology, params) -> NoiseSpec:
@@ -332,9 +276,10 @@ def _nnssm_init_fn(top: Topology, rng: np.random.Generator, params):
 
 
 def _uke_params(params) -> UkeParams:
-    return UkeParams(_pop_float(params, "alpha", DEFAULTS["alpha"]),
-                     _pop_float(params, "beta", DEFAULTS["beta"]),
-                     _pop_float(params, "kappa", DEFAULTS["kappa"]))
+    default = UkeParams()
+    return UkeParams(_pop_float(params, "alpha", default.alpha),
+                     _pop_float(params, "beta", default.beta),
+                     _pop_float(params, "kappa", default.kappa))
 
 
 def _reject_leftovers(name, params):
@@ -361,13 +306,14 @@ def build_runner(name: str, kind: str, params: dict, ctx: RunContext) -> Runner:
             mean[0] = z
             return mean
 
-        predict = lambda mean: multi_step_predict(m, mean, a)
         if kind == "uam_lke":
-            runner = LinearKalmanRunner(name, a, m.F, m.H, noise, predict, init)
+            step_fn = partial(lke_step, m.F, m.H, noise)
         else:
-            uparams = _uke_params(params)
-            runner = UkeRunner(name, a, _LinearAdapter(m.F), noise, uparams,
-                               predict, init, warmup_hint=order)
+            step_fn = partial(uke_step, _LinearAdapter(m.F), noise,
+                              params=_uke_params(params))
+        runner = GaussianRunner(name, a, step_fn, noise.Pi0,
+                                lambda mean: multi_step_predict(m, mean, a),
+                                init, order)
         _reject_leftovers(name, params)
         return runner
 
@@ -379,16 +325,15 @@ def build_runner(name: str, kind: str, params: dict, ctx: RunContext) -> Runner:
         r = _pop_float(params, "r", DEFAULTS["r"])
         p0 = _pop_float(params, "p0", DEFAULTS["sine_p0"])
         noise = NoiseSpec(q * np.eye(2), r, p0 * np.eye(2))
-        runner = LinearKalmanRunner(
-            name, a, m.F, m.H, noise,
+        runner = GaussianRunner(
+            name, a, partial(lke_step, m.F, m.H, noise), noise.Pi0,
             lambda mean: m.predict_n(mean, a),
-            lambda z: np.array([z, 0.0]))
-        runner.warmup_hint = 2
+            lambda z: np.array([z, 0.0]), 2)
         _reject_leftovers(name, params)
         return runner
 
     if kind in ("nnsse_uke", "nnsse_eke", "nnsse_pe"):
-        top = _parse_network(params, a, T)
+        top = _parse_network(params, a)
         if kind == "nnsse_pe":
             params.setdefault("p0_w", DEFAULTS["pe_p0_w"])
             params.setdefault("q_pos", DEFAULTS["pe_q_pos"])
@@ -396,20 +341,21 @@ def build_runner(name: str, kind: str, params: dict, ctx: RunContext) -> Runner:
         rng = estimator_rng(ctx.seed, name)
         init = _nnssm_init_fn(top, rng, params)
         net = NetworkStateSpace(top)
-        predict = lambda mean: nnmodel.predict_ahead(top, mean)
-        if kind == "nnsse_uke":
-            uparams = _uke_params(params)
-            runner = UkeRunner(name, a, net, noise, uparams, predict, init,
-                               warmup_hint=top.input_width)
-        elif kind == "nnsse_eke":
-            runner = EkeRunner(name, a, net, noise, predict, init,
-                               warmup_hint=top.input_width)
-        else:
+        if kind == "nnsse_pe":
             n_particles = _pop_int(params, "particles", DEFAULTS["particles"])
             runner = PeRunner(
                 name, a, net, noise, n_particles,
                 lambda X: nnmodel.predict_ahead_batch(top, X),
                 init, rng, warmup_hint=top.input_width)
+        else:
+            if kind == "nnsse_uke":
+                step_fn = partial(uke_step, net, noise, params=_uke_params(params))
+            else:
+                step_fn = partial(eke_step, net, noise)
+            runner = GaussianRunner(
+                name, a, step_fn, noise.Pi0,
+                lambda mean: nnmodel.predict_ahead(top, mean),
+                init, top.input_width)
         _reject_leftovers(name, params)
         return runner
 
@@ -434,10 +380,9 @@ def build_runner(name: str, kind: str, params: dict, ctx: RunContext) -> Runner:
             def init(z, k=stack.k):
                 return np.full(k, z)
 
-            runner = LinearKalmanRunner(
-                name, a, stack.F, stack.H, noise,
-                lambda mean: multi_step_predict(stack, mean, a), init)
-            runner.warmup_hint = stack.k
+            runner = GaussianRunner(
+                name, a, partial(lke_step, stack.F, stack.H, noise), noise.Pi0,
+                lambda mean: multi_step_predict(stack, mean, a), init, stack.k)
         else:
             raise ConfigError(f"unknown stack mode {mode!r}")
         _reject_leftovers(name, params)
@@ -453,22 +398,10 @@ def build_runner(name: str, kind: str, params: dict, ctx: RunContext) -> Runner:
 
 
 class _LinearAdapter:
-    """Wrap a fixed matrix as the transition/observe protocol."""
+    """Wrap a fixed matrix as the batched transition protocol."""
 
     def __init__(self, F):
         self.F = np.asarray(F, dtype=float)
 
-    def transition(self, x):
-        return self.F @ x
-
     def transition_batch(self, X):
         return X @ self.F.T
-
-    def observe(self, x):
-        return float(x[0])
-
-    def observe_batch(self, X):
-        return X[:, 0]
-
-    def transition_jacobian(self, x):
-        return self.F

@@ -91,10 +91,14 @@ def _fmt(x: float) -> str:
 
 def _parse_cell(text: str, column: str, line_no: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise TrajectoryFormatError(
             f"line {line_no}: non-numeric value {text!r} in column {column!r}") from None
+    if not np.isfinite(value):
+        raise TrajectoryFormatError(
+            f"line {line_no}: non-finite value {text!r} in column {column!r}")
+    return value
 
 
 def save_trajectory(path, trajectory: Trajectory,
@@ -139,8 +143,8 @@ def load_trajectory(path) -> Trajectory:
     """Read the CSV schema back; unknown columns are ignored.
 
     Raises `TrajectoryFormatError` (with a line number where applicable) on a
-    missing required column, a non-numeric cell, an inconsistent row length,
-    or a file with no data rows.
+    missing required column, a non-numeric or non-finite cell, an
+    inconsistent row length, or a file with no data rows.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)

@@ -13,6 +13,7 @@ from nnsse.bench import (
     run_experiment,
     run_single_seed,
 )
+from nnsse.model import Topology
 from nnsse.runners import ConfigError, RunContext, build_runner
 from nnsse.signals import Trajectory, save_trajectory
 
@@ -111,13 +112,27 @@ def test_uke_constant_trajectory_settles_to_cross_covariance_offset():
     # predicted row equals it, so the plug-in forecast w.x misses it by
     # exactly -tr C_{w,x_in} of the posterior.
     runner = build_runner("NNSSE-UKE", "nnsse_uke", {}, RunContext(3, 0.005, 1))
-    top = runner.model.topology
+    top = Topology.weighted_sum(25, horizon_a=3)
     for _ in range(6000):
         forecast = runner.step(5.0)
     mean, cov = runner.belief.mean, runner.belief.cov
     np.testing.assert_allclose(mean[top.position_slice], 5.0, rtol=0, atol=1e-6)
     cross = np.trace(cov[top.weight_slice, top.network_input_slice])
     assert forecast - 5.0 == pytest.approx(-cross, rel=0, abs=1e-7)
+
+
+def test_uke_equals_lke_on_the_linear_kinematic_model():
+    # The unscented transform is exact for a linear transition, so the
+    # kinematic UKE must reproduce the kinematic LKE through the harness.
+    cfg = sine_config(
+        [EstimatorSpec("UAM-LKE", "uam_lke", {}),
+         EstimatorSpec("UAM-UKE", "uam_uke", {})],
+        steps=2000, windows=((0, 2000), (1000, 2000)))
+    run = run_single_seed(cfg, 1)
+    lke, uke = run.results["UAM-LKE"], run.results["UAM-UKE"]
+    assert lke.failure is None and uke.failure is None
+    for label, err in lke.window_errors.items():
+        assert uke.window_errors[label] == pytest.approx(err, rel=1e-9, abs=0)
 
 
 def test_table1_roster_has_ten_rows():

@@ -21,6 +21,7 @@ from nnsse.estimators import (
     uke_step,
 )
 from nnsse.model import NoiseSpec, Topology, NetworkStateSpace
+from nnsse.runners import RunContext, build_runner
 
 
 class LinearModel:
@@ -104,7 +105,8 @@ def test_sigma_mean_weights_sum_to_one():
     for n in (1, 4, 9):
         A = rng.standard_normal((n, n))
         belief = GaussianBelief(rng.standard_normal(n), A @ A.T)
-        for params in (UkeParams(), UkeParams(1.0, 2.0, 0.0), UkeParams(0.5, 2.0, 3.0 - n)):
+        for params in (UkeParams(), UkeParams(1e-3, 2.0, 0.0), UkeParams(1.0, 2.0, 0.0),
+                       UkeParams(0.5, 2.0, 3.0 - n)):
             sig = uke_sigma_points(belief, params)
             assert float(np.sum(sig.mean_weights)) == pytest.approx(1.0, abs=1e-9)
 
@@ -221,9 +223,11 @@ def test_uke_eke_match_lke_on_linear_model():
 
 
 def test_uke_matches_lke_at_default_spread():
-    # alpha=1e-3 puts +-1e6 sigma weights in play; the transform is still
-    # exact for linear maps, with float64 agreement at the 1e-6 level.
-    rel_u, _, b_l, b_u, _ = run_linear_comparison(seed=1, params=UkeParams())
+    # The textbook scaled spread alpha=1e-3, beta=2 puts +-1e6 sigma weights
+    # in play; the transform is still exact for linear maps, with float64
+    # agreement at the 1e-6 level.
+    rel_u, _, b_l, b_u, _ = run_linear_comparison(
+        seed=1, params=UkeParams(1e-3, 2.0, 0.0))
     assert rel_u <= 1e-6
     np.testing.assert_allclose(b_u.cov, b_l.cov, rtol=1e-4, atol=1e-10)
 
@@ -274,6 +278,18 @@ def test_uke_mean_keeps_cross_covariance_term_eke_does_not():
     _, z_eke = eke_step(model, noise, belief, 0.0)
     assert z_uke == pytest.approx(w @ x_in + cross, rel=0, abs=1e-12)
     assert z_eke == pytest.approx(w @ x_in, rel=0, abs=1e-12)
+
+
+def test_uke_default_params_stay_stable_on_constant_series():
+    # The default spread keeps every covariance weight nonnegative; the
+    # tiny-alpha spread runs this belief out of jitter within 100 steps.
+    runner = build_runner("NNSSE-UKE", "nnsse_uke", {}, RunContext(3, 0.005, 1))
+    runner.step(5.0)
+    model, noise = runner.step_fn.args
+    belief = runner.belief
+    for _ in range(200):
+        belief, _ = uke_step(model, noise, belief, 5.0)
+    assert np.all(np.isfinite(belief.mean))
 
 
 # ---------------------------------------------------------------------------

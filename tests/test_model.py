@@ -15,8 +15,6 @@ from nnsse.model import (
     forward,
     forward_batch,
     forward_gradients,
-    observe,
-    observe_batch,
     predict_ahead,
     predict_ahead_batch,
     transition,
@@ -86,8 +84,6 @@ def test_topology_validation():
         Topology(TopologyKind.WEIGHTED_SUM, (5, 1), Activation.TANH)
     with pytest.raises(ValueError):
         Topology.weighted_sum(5, horizon_a=0)
-    with pytest.raises(ValueError):
-        Topology.weighted_sum(5, sample_period_T=0.0)
     with pytest.raises(ValueError):
         Topology.mlp([5, 0, 1])
 
@@ -270,16 +266,6 @@ def test_transition_batch_matches_scalar():
         np.testing.assert_allclose(batch, ref, rtol=1e-13, atol=1e-13)
 
 
-def test_observe():
-    assert observe(np.array([5.0, 1.0, 2.0])) == 5.0
-    top = Topology.weighted_sum(2, horizon_a=1)
-    out = transition(top, np.array([3.0, 2.0, 1.0, 0.0]))
-    assert observe(out) == 3.0
-    assert observe(np.zeros(4)) == 0.0
-    np.testing.assert_array_equal(observe_batch(np.arange(12.0).reshape(4, 3)),
-                                  [0.0, 3.0, 6.0, 9.0])
-
-
 def test_predict_ahead_selector():
     top = Topology.weighted_sum(3, horizon_a=2)
     st = np.array([4.0, 7.0, 9.0, 1.0, 1.0, 0.0, 0.0])
@@ -388,8 +374,5 @@ def test_network_state_space_adapter():
     top = Topology.weighted_sum(2, horizon_a=1)
     m = NetworkStateSpace(top)
     st = np.array([3.0, 2.0, 1.0, 0.0])
-    assert m.dim == 4
     np.testing.assert_allclose(m.transition(st), [3.0, 3.0, 1.0, 0.0])
-    assert m.observe(st) == 3.0
-    assert m.predict_ahead(st) == 3.0
     np.testing.assert_allclose(m.transition_jacobian(st)[0], [1.0, 0.0, 3.0, 2.0])

@@ -152,6 +152,17 @@ def test_load_non_numeric_cell_reports_line(tmp_path):
         load_trajectory(path)
 
 
+def test_load_non_finite_cell_reports_line_and_column(tmp_path):
+    for cell, column in (("nan", "measurement"), ("inf", "measurement"),
+                         ("-inf", "truth"), ("NaN", "truth")):
+        row = f"1,0.01,2,{cell}" if column == "measurement" else f"1,0.01,{cell},2.5"
+        path = tmp_path / "bad_nonfinite.csv"
+        path.write_text(f"step,t,truth,measurement\n0,0,1,1.5\n{row}\n",
+                        encoding="utf-8")
+        with pytest.raises(TrajectoryFormatError, match=f"line 3.*{column}"):
+            load_trajectory(path)
+
+
 def test_load_inconsistent_row_length_reports_line(tmp_path):
     path = tmp_path / "bad3.csv"
     path.write_text("step,t,truth,measurement\n0,0,1,1.5\n1,0.01,2\n",
