@@ -83,21 +83,25 @@ def stack_transition(kind: StackKind) -> StackModel:
     return StackModel(kind, np.array(STACK_COEFFS[kind]))
 
 
-def e4ptrw_refit(window) -> np.ndarray:
-    """Least-squares coefficients from (inputs4, next) pairs.
+def e4ptrw_refit(inputs, targets) -> np.ndarray:
+    """Least-squares coefficients from an (m, 4) input block and m targets.
 
-    Minimum-norm solution of ``next ~ coeffs . inputs4`` with no intercept.
-    With fewer than 5 usable pairs the published offline coefficients are
-    returned unchanged.
+    Row i of ``inputs`` holds the four positions (newest first) that preceded
+    ``targets[i]``.  Minimum-norm solution of ``targets ~ inputs @ coeffs``
+    with no intercept, over the rows whose inputs and target are all finite.
+    When every row is finite the block goes to `np.linalg.lstsq` as given, so
+    the result depends on its row order (`E4ptrwRunner` keeps it oldest
+    first).  With fewer than `E4PTRW_MIN_PAIRS` usable rows the published
+    offline coefficients are returned unchanged.
     """
-    pairs = [(np.asarray(a, dtype=float), float(y)) for a, y in window]
-    usable = [(a, y) for a, y in pairs
-              if a.shape == (4,) and np.all(np.isfinite(a)) and np.isfinite(y)]
-    if len(usable) < E4PTRW_MIN_PAIRS:
+    inputs = np.asarray(inputs, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    usable = np.isfinite(inputs).all(axis=1) & np.isfinite(targets)
+    if not usable.all():
+        inputs, targets = inputs[usable], targets[usable]
+    if targets.size < E4PTRW_MIN_PAIRS:
         return np.array(_E4PRW_COEFFS)
-    A = np.stack([a for a, _ in usable])
-    y = np.array([t for _, t in usable])
-    coeffs, *_ = np.linalg.lstsq(A, y, rcond=None)
+    coeffs, *_ = np.linalg.lstsq(inputs, targets, rcond=None)
     return coeffs
 
 

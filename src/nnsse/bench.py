@@ -6,11 +6,14 @@ against truth (or against the measurement for recorded data), and summed over
 configurable step windows.  The first ``warmup`` steps (default: the largest
 input window in the roster, at least the horizon) are excluded from error
 accumulation.  Estimator failures are isolated: the rest of the roster keeps
-running and the failure is recorded in the report.
+running and the failure is recorded in the report.  A non-finite forecast
+counts as such a failure: it ends that estimator's run like an
+`EstimatorError` does.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -217,10 +220,14 @@ def run_single_seed(config: ExperimentConfig, seed: int, audit: bool = False) ->
         t0 = time.perf_counter()
         for i in range(n):
             try:
-                preds[i] = runner.step(z[i])
+                forecast = runner.step(z[i])
             except EstimatorError as exc:
                 failure = f"step {i}: {exc}"
                 break
+            if not math.isfinite(forecast):
+                failure = f"step {i}: non-finite forecast"
+                break
+            preds[i] = forecast
             if audit:
                 _audit_update(runner, worst)
         seconds = time.perf_counter() - t0

@@ -9,7 +9,7 @@ particle estimators take any model object exposing ``transition_batch``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

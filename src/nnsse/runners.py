@@ -10,18 +10,16 @@ from __future__ import annotations
 
 import math
 import zlib
-from collections import deque
 from functools import partial
 
 import numpy as np
 
 from . import model as nnmodel
 from .baselines import (
-    STACK_COEFFS,
-    SineModel,
     StackKind,
     StackModel,
     UamModel,
+    E4PTRW_MIN_PAIRS,
     E4PTRW_WINDOW,
     e4ptrw_refit,
     multi_step_predict,
@@ -150,46 +148,68 @@ class PeRunner(Runner):
 
 
 class OpenLoopStackRunner(Runner):
-    """Deterministic stack predictor applied directly to raw measurements."""
+    """Deterministic stack predictor applied directly to raw measurements.
+
+    ``window`` holds the last k measurements, newest first; until k have
+    arrived the forecast is the last measurement (persistence).
+    """
 
     def __init__(self, name, horizon, stack: StackModel):
         super().__init__(name, horizon)
         self.stack = stack
-        self.window: deque[float] = deque(maxlen=stack.k)
+        self.window = np.zeros(stack.k)
+        self.seen = 0
         self.warmup_hint = stack.k
 
     def step(self, z: float) -> float:
-        self.window.appendleft(float(z))
-        if len(self.window) < self.stack.k:
-            return float(z)  # persistence until the stack fills
-        state = np.array(self.window)
-        return multi_step_predict(self.stack, state, self.horizon)
+        z = float(z)
+        self.window[1:] = self.window[:-1]
+        self.window[0] = z
+        self.seen += 1
+        if self.seen < self.stack.k:
+            return z
+        return multi_step_predict(self.stack, self.window, self.horizon)
 
 
 class E4ptrwRunner(Runner):
-    """Stack predictor whose first row is re-regressed from a sliding window."""
+    """Stack predictor whose first row is re-regressed from a sliding window.
+
+    ``recent`` holds the last four measurements, newest first.  Every
+    measurement from the fifth on adds one regression row: the ``recent`` it
+    followed as inputs and itself as target.  ``inputs`` (W, 4) and
+    ``targets`` (W,) keep the last W rows, oldest first, and shift up by one
+    row per step.  Once W rows have accumulated, every step refits the
+    coefficients from them with `e4ptrw_refit`; before that the published
+    offline coefficients apply.  Until four measurements have arrived the
+    forecast is the last measurement (persistence).
+    """
 
     def __init__(self, name, horizon, window_len=E4PTRW_WINDOW):
         super().__init__(name, horizon)
         self.window_len = int(window_len)
-        self.recent: deque[float] = deque(maxlen=5)
-        self.pairs: deque = deque(maxlen=self.window_len)
-        self.coeffs = np.array(STACK_COEFFS[StackKind.E4PTRW])
+        self.recent = np.zeros(4)
+        self.inputs = np.zeros((self.window_len, 4))
+        self.targets = np.zeros(self.window_len)
+        self.seen = 0
+        self.stack = stack_transition(StackKind.E4PTRW)
         self.warmup_hint = 5
 
     def step(self, z: float) -> float:
         z = float(z)
-        if len(self.recent) >= 4:
-            inputs = np.array(list(self.recent)[:4])
-            self.pairs.append((inputs, z))
-        self.recent.appendleft(z)
-        if len(self.pairs) == self.window_len:
-            self.coeffs = e4ptrw_refit(self.pairs)
-        if len(self.recent) < 4:
+        if self.seen >= 4:
+            self.inputs[:-1] = self.inputs[1:]
+            self.inputs[-1] = self.recent
+            self.targets[:-1] = self.targets[1:]
+            self.targets[-1] = z
+        self.recent[1:] = self.recent[:-1]
+        self.recent[0] = z
+        self.seen += 1
+        if self.seen - 4 >= self.window_len:
+            self.stack = StackModel(StackKind.E4PTRW,
+                                    e4ptrw_refit(self.inputs, self.targets))
+        if self.seen < 4:
             return z
-        stack = StackModel(StackKind.E4PTRW, self.coeffs)
-        state = np.array(list(self.recent)[:4])
-        return multi_step_predict(stack, state, self.horizon)
+        return multi_step_predict(self.stack, self.recent, self.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +410,9 @@ def build_runner(name: str, kind: str, params: dict, ctx: RunContext) -> Runner:
 
     if kind == "e4ptrw":
         window = _pop_int(params, "window", E4PTRW_WINDOW)
+        if window < E4PTRW_MIN_PAIRS:
+            raise ConfigError(f"estimator {name!r}: e4ptrw window must be >= "
+                              f"{E4PTRW_MIN_PAIRS}, got {window}")
         runner = E4ptrwRunner(name, a, window)
         _reject_leftovers(name, params)
         return runner

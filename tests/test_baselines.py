@@ -153,7 +153,9 @@ def test_refit_recovers_generating_coefficients():
     for i in range(4, len(seq) - 1):
         inputs = np.array([seq[i], seq[i - 1], seq[i - 2], seq[i - 3]])
         pairs.append((inputs, seq[i + 1]))
-    fitted = e4ptrw_refit(pairs[-50:])
+    A = np.stack([a for a, _ in pairs[-50:]])
+    y = np.array([t for _, t in pairs[-50:]])
+    fitted = e4ptrw_refit(A, y)
     np.testing.assert_allclose(fitted, coeffs, atol=1e-8)
 
 
@@ -161,23 +163,23 @@ def test_refit_ramp_prediction_exact():
     ramp = np.arange(60.0)
     pairs = [(np.array([ramp[i], ramp[i - 1], ramp[i - 2], ramp[i - 3]]), ramp[i + 1])
              for i in range(4, 54)]
-    coeffs = e4ptrw_refit(pairs)
+    A = np.stack([p for p, _ in pairs])
+    y = np.array([t for _, t in pairs])
+    coeffs = e4ptrw_refit(A, y)
     nxt = float(coeffs @ np.array([ramp[53], ramp[52], ramp[51], ramp[50]]))
     assert nxt == pytest.approx(ramp[54], abs=1e-9)
     # normal-equation oracle agrees on the fitted values
-    A = np.stack([p for p, _ in pairs])
-    y = np.array([t for _, t in pairs])
     np.testing.assert_allclose(A @ coeffs, y, atol=1e-9)
 
 
 def test_refit_constant_window_minimum_norm():
-    pairs = [(np.full(4, 3.0), 3.0) for _ in range(20)]
-    np.testing.assert_allclose(e4ptrw_refit(pairs), np.full(4, 0.25), atol=1e-12)
+    A, y = np.full((20, 4), 3.0), np.full(20, 3.0)
+    np.testing.assert_allclose(e4ptrw_refit(A, y), np.full(4, 0.25), atol=1e-12)
 
 
 def test_refit_short_window_returns_published_coefficients():
-    pairs = [(np.arange(4.0), 1.0)] * 4
-    np.testing.assert_allclose(e4ptrw_refit(pairs), STACK_COEFFS[StackKind.E4PRW])
+    A, y = np.tile(np.arange(4.0), (4, 1)), np.ones(4)
+    np.testing.assert_allclose(e4ptrw_refit(A, y), STACK_COEFFS[StackKind.E4PRW])
 
 
 def test_refit_residual_never_worse_than_fixed_row():
@@ -186,9 +188,24 @@ def test_refit_residual_never_worse_than_fixed_row():
     for _ in range(10):
         A = rng.standard_normal((50, 4))
         y = rng.standard_normal(50)
-        pairs = list(zip(A, y))
-        fit = e4ptrw_refit(pairs)
+        fit = e4ptrw_refit(A, y)
         assert np.sum((A @ fit - y) ** 2) <= np.sum((A @ fixed - y) ** 2) + 1e-12
+
+
+def test_refit_drops_rows_with_non_finite_input_or_target():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((12, 4))
+    y = rng.standard_normal(12)
+    A[3, 2] = np.nan
+    y[8] = np.inf
+    finite = np.ones(12, dtype=bool)
+    finite[[3, 8]] = False
+    expected, *_ = np.linalg.lstsq(A[finite], y[finite], rcond=None)
+    np.testing.assert_array_equal(e4ptrw_refit(A, y), expected)
+    # rows 9-11 stay finite: below E4PTRW_MIN_PAIRS, so the published row
+    A[:9, 0] = np.inf
+    np.testing.assert_array_equal(e4ptrw_refit(A, y),
+                                  STACK_COEFFS[StackKind.E4PRW])
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
 
+from nnsse.baselines import (
+    STACK_COEFFS,
+    StackKind,
+    StackModel,
+    multi_step_predict,
+)
 from nnsse.bench import (
     EstimatorSpec,
     ExperimentConfig,
@@ -205,14 +213,82 @@ def test_runs_are_deterministic_across_calls():
 
 
 def test_parallel_seed_execution_matches_sequential():
-    spec = [EstimatorSpec("E4P", "stack", {"stack": "E4P"})]
+    spec = [EstimatorSpec("E4P", "stack", {"stack": "E4P"}),
+            EstimatorSpec("E4PTRW", "e4ptrw", {})]
     cfg = sine_config(spec, steps=400, windows=((0, 400),), seeds=(1, 2, 3))
     seq = run_experiment(cfg, parallel=1)
     par = run_experiment(cfg, parallel=2)
     for rs, rp in zip(seq.seed_runs, par.seed_runs):
         assert rs.seed == rp.seed
-        np.testing.assert_array_equal(rs.results["E4P"].predictions,
-                                      rp.results["E4P"].predictions)
+        for name in ("E4P", "E4PTRW"):
+            np.testing.assert_array_equal(rs.results[name].predictions,
+                                          rp.results[name].predictions)
+
+
+def test_non_finite_forecast_is_a_recorded_failure(tmp_path):
+    # Every cell is finite, so the loader accepts the series, but the
+    # forecasts overflow: each estimator must fail instead of reporting a
+    # nan or inf window error.
+    z = np.where(np.arange(400) % 2 == 0, 1e308, -1e308)
+    path = tmp_path / "huge.csv"
+    save_trajectory(path, Trajectory(0.005, z))
+    cfg = ExperimentConfig(
+        trajectory={"source": "file", "path": str(path)},
+        horizon=3,
+        estimators=[EstimatorSpec("E2P", "stack", {"stack": "E2P"}),
+                    EstimatorSpec("UAM-LKE", "uam_lke", {}),
+                    EstimatorSpec("E4PTRW", "e4ptrw", {})],
+        windows=[(0, 400)],
+        seeds=[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = run_single_seed(cfg, 1)
+    for name, res in run.results.items():
+        assert res.failure is not None, name
+        assert res.failure.endswith("non-finite forecast"), (name, res.failure)
+        assert res.window_errors == {}, name
+        step = int(res.failure.split(":")[0].removeprefix("step "))
+        assert np.isnan(res.predictions[step:]).all(), name
+
+
+def _e4ptrw_pairs_oracle(z, horizon, window_len):
+    """Reference E4PTRW over deques of (inputs, next) pairs, restacked per refit."""
+    recent = deque(maxlen=5)
+    pairs = deque(maxlen=window_len)
+    coeffs = np.array(STACK_COEFFS[StackKind.E4PTRW])
+    out = []
+    for v in map(float, z):
+        if len(recent) >= 4:
+            pairs.append((np.array(list(recent)[:4]), v))
+        recent.appendleft(v)
+        if len(pairs) == window_len:
+            usable = [(a, y) for a, y in pairs
+                      if np.all(np.isfinite(a)) and np.isfinite(y)]
+            A = np.stack([a for a, _ in usable])
+            y = np.array([t for _, t in usable])
+            coeffs, *_ = np.linalg.lstsq(A, y, rcond=None)
+        if len(recent) < 4:
+            out.append(v)
+            continue
+        stack = StackModel(StackKind.E4PTRW, coeffs)
+        out.append(multi_step_predict(stack, np.array(list(recent)[:4]), horizon))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("window", [50, 7])
+def test_e4ptrw_array_window_matches_pairs_oracle_bitwise(window):
+    rng = np.random.default_rng(11)
+    z = 10.0 * np.sin(2 * np.pi * np.arange(400) / 200.0) + rng.standard_normal(400)
+    runner = build_runner("E4PTRW", "e4ptrw", {"window": window},
+                          RunContext(3, 0.005, 1))
+    got = np.array([runner.step(v) for v in z])
+    np.testing.assert_array_equal(got, _e4ptrw_pairs_oracle(z, 3, window))
+
+
+@pytest.mark.parametrize("window", [3, -1])
+def test_e4ptrw_window_below_minimum_pairs_rejected(window):
+    with pytest.raises(ConfigError, match="window"):
+        build_runner("E4PTRW", "e4ptrw", {"window": window},
+                     RunContext(3, 0.005, 1))
 
 
 def test_audit_collects_covariance_health():

@@ -36,12 +36,6 @@ class LinearModel:
     def transition_batch(self, X):
         return X @ self.F.T
 
-    def observe(self, x):
-        return float(x[0])
-
-    def observe_batch(self, X):
-        return X[:, 0]
-
     def transition_jacobian(self, x):
         return self.F
 
