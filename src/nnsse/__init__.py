@@ -13,9 +13,7 @@ from .baselines import (
     UamModel,
     e4ptrw_refit,
     multi_step_predict,
-    sine_reference_model,
     stack_transition,
-    uam_model,
     uam_predict_n,
 )
 from .bench import (
@@ -44,14 +42,10 @@ from .estimators import (
 )
 from .model import (
     Activation,
-    AugmentedState,
     NetworkStateSpace,
     NoiseSpec,
     Topology,
     TopologyKind,
-    forward,
-    predict_ahead,
-    transition,
     transition_jacobian,
     weight_count,
 )

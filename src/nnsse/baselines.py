@@ -67,12 +67,6 @@ class StackModel:
     def k(self) -> int:
         return self.coeffs.size
 
-    @property
-    def H(self) -> np.ndarray:
-        H = np.zeros(self.k)
-        H[0] = 1.0
-        return H
-
 
 def stack_transition(kind: StackKind) -> StackModel:
     """Fixed companion transition for a stack kind.
@@ -125,16 +119,6 @@ class UamModel:
                 F[i, j] = self.T ** (j - i) / math.factorial(j - i)
         self.F = F
 
-    @property
-    def H(self) -> np.ndarray:
-        H = np.zeros(self.order)
-        H[0] = 1.0
-        return H
-
-
-def uam_model(order: int, T: float) -> UamModel:
-    return UamModel(order, T)
-
 
 def uam_predict_n(state, n: int, T: float) -> float:
     """Closed-form n-step position forecast: Taylor sum of the present state.
@@ -163,18 +147,10 @@ class SineModel:
         c, s = np.cos(self.omega * self.T), np.sin(self.omega * self.T)
         self.F = np.array([[c, s], [-s, c]])
 
-    @property
-    def H(self) -> np.ndarray:
-        return np.array([1.0, 0.0])
-
     def predict_n(self, state, n: int) -> float:
         """n-step forecast: rotation by n*omega*T applied to the state."""
         angle = n * self.omega * self.T
         return float(np.cos(angle) * state[0] + np.sin(angle) * state[1])
-
-
-def sine_reference_model(omega: float, T: float) -> SineModel:
-    return SineModel(omega, T)
 
 
 def multi_step_predict(model, state, n: int) -> float:

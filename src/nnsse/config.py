@@ -19,10 +19,12 @@ Grammar (``configs/table1.ini`` is a complete example)::
     # warmup = 25            # default: max(horizon, roster input windows)
 
     [estimator:NAME]         # one section per roster entry, order preserved
-    kind = nnsse_uke         # see runners.build_runner for kinds and keys
+    kind = nnsse_uke         # a kind of runners.ESTIMATOR_KINDS
     <parameter> = <value>
 
-Unknown estimator parameters are rejected at build time, not here.
+`runners.ESTIMATOR_KINDS` is the one table of estimator kinds, the keys each
+accepts and their defaults.  Unknown estimator parameters are rejected at
+build time, not here.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
 """Bayesian estimator back-ends: linear/extended/unscented Kalman and particle.
 
-All four observe the first state coordinate, a scalar, and the three Kalman
-variants end in the same scalar-observation update.  The unscented and
-particle estimators take any model object exposing ``transition_batch``
-(rows are states); the extended variant takes ``transition`` and
-``transition_jacobian``.
+The observation is implicit: every estimator observes state coordinate 0, a
+scalar, through the unit selector e_0, so no observation vector is passed and
+the three Kalman variants end in the same scalar-observation update.  The
+linear variant takes a transition matrix F.  The others take a model object
+with ``transition_batch(X)``, which maps each row of an (m, n) array of
+states one step ahead; the extended variant also needs
+``transition_jacobian(x)``, the (n, n) Jacobian at a single state.
 """
 
 from __future__ import annotations
@@ -123,53 +125,47 @@ def uke_sigma_points(belief: GaussianBelief, params: UkeParams = UkeParams()) ->
     return SigmaSet(points, w_mean, w_cov)
 
 
-def _scalar_update(x_pred: np.ndarray, P_pred: np.ndarray, H: np.ndarray,
-                   R: float, z: float):
-    """Shared scalar-observation measurement update.
+def _scalar_update(x_pred: np.ndarray, P_pred: np.ndarray, R: float, z: float):
+    """Shared measurement update for the observation z = x[0] + noise.
 
     Returns (posterior belief, predicted observation).  Raises on a
     non-positive innovation variance.
     """
-    hP = P_pred @ H
-    s = float(H @ hP) + R
+    hP = P_pred[:, 0]
+    s = float(P_pred[0, 0]) + R
     if not s > 0:
         raise CovarianceDegeneracyError(
             f"innovation variance must be positive (got {s})")
-    z_hat = float(H @ x_pred)
+    z_hat = float(x_pred[0])
     K = hP / s
     mean = x_pred + K * (z - z_hat)
     return GaussianBelief(mean, P_pred - np.outer(K, hP)), z_hat
 
 
-def lke_step(F: np.ndarray, H: np.ndarray, noise: NoiseSpec,
-             belief: GaussianBelief, z: float):
+def lke_step(F: np.ndarray, noise: NoiseSpec, belief: GaussianBelief, z: float):
     """Linear Kalman predict/update; returns (posterior, innovation)."""
     F = np.asarray(F, dtype=float)
-    H = np.asarray(H, dtype=float).reshape(-1)
     n = belief.mean.size
-    if F.shape != (n, n) or H.shape != (n,) or noise.Q.shape != (n, n):
+    if F.shape != (n, n) or noise.Q.shape != (n, n):
         raise ValueError("inconsistent dimensions in lke_step")
     x_pred = F @ belief.mean
     P_pred = _symmetrized(F @ belief.cov @ F.T + noise.Q)
-    posterior, z_hat = _scalar_update(x_pred, P_pred, H, noise.R, z)
+    posterior, z_hat = _scalar_update(x_pred, P_pred, noise.R, z)
     return posterior, z - z_hat
 
 
 def eke_step(model, noise: NoiseSpec, belief: GaussianBelief, z: float):
     """Extended Kalman step: nonlinear mean propagation, Jacobian covariance.
 
-    Returns (posterior, predicted observation).  The observation map is the
-    unit selector on coordinate 0.
+    Returns (posterior, predicted observation).  The mean goes through the
+    batched transition as a one-row batch.
     """
-    n = belief.mean.size
     F = np.asarray(model.transition_jacobian(belief.mean), dtype=float)
-    x_pred = np.asarray(model.transition(belief.mean), dtype=float)
+    x_pred = model.transition_batch(belief.mean[None])[0]
     P_pred = _symmetrized(F @ belief.cov @ F.T + noise.Q)
     if not np.all(np.isfinite(x_pred)) or not np.all(np.isfinite(P_pred)):
         raise CovarianceDegeneracyError("non-finite values in prediction")
-    H = np.zeros(n)
-    H[0] = 1.0
-    return _scalar_update(x_pred, P_pred, H, noise.R, z)
+    return _scalar_update(x_pred, P_pred, noise.R, z)
 
 
 def uke_step(model, noise: NoiseSpec, belief: GaussianBelief, z: float,
@@ -193,9 +189,7 @@ def uke_step(model, noise: NoiseSpec, belief: GaussianBelief, z: float,
     P_pred = _symmetrized((D.T * sig.cov_weights) @ D + noise.Q)
     if not np.all(np.isfinite(P_pred)):
         raise CovarianceDegeneracyError("non-finite propagated covariance")
-    H = np.zeros(x_pred.size)
-    H[0] = 1.0
-    return _scalar_update(x_pred, P_pred, H, noise.R, z)
+    return _scalar_update(x_pred, P_pred, noise.R, z)
 
 
 @dataclass

@@ -110,39 +110,6 @@ def weight_count(topology: Topology) -> int:
 
 
 @dataclass
-class AugmentedState:
-    """Joint vector of lagged positions and network weights for one topology."""
-
-    topology: Topology
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.topology.state_dim,):
-            raise ValueError(
-                f"state length {self.values.shape} does not match topology "
-                f"dimension ({self.topology.state_dim},)")
-
-    @classmethod
-    def from_blocks(cls, topology: Topology, positions, weights) -> "AugmentedState":
-        positions = np.asarray(positions, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if positions.shape != (topology.position_count,):
-            raise ValueError("position block has wrong length")
-        if weights.shape != (topology.weight_count,):
-            raise ValueError("weight block has wrong length")
-        return cls(topology, np.concatenate([positions, weights]))
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self.values[self.topology.position_slice]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.values[self.topology.weight_slice]
-
-
-@dataclass
 class NoiseSpec:
     """Process covariance Q, scalar measurement variance R, initial covariance."""
 
@@ -166,120 +133,51 @@ class NoiseSpec:
             raise ValueError("R must be > 0")
 
 
-def _as_values(state) -> np.ndarray:
-    if isinstance(state, AugmentedState):
-        return state.values
-    return np.asarray(state, dtype=float)
-
-
-def _layer_matrices(topology: Topology, weights: np.ndarray) -> list[np.ndarray]:
-    mats = []
-    offset = 0
-    widths = topology.layer_widths
-    for k in range(len(widths) - 1):
-        n_in, n_out = widths[k], widths[k + 1]
-        mats.append(weights[offset:offset + n_in * n_out].reshape(n_out, n_in))
-        offset += n_in * n_out
-    return mats
-
-
-def _forward_stack(topology: Topology, inputs: np.ndarray,
-                   weights: np.ndarray) -> list[np.ndarray]:
-    """Layer inputs [h_0=inputs, h_1, ..., h_L] with h_L the output vector."""
-    mats = _layer_matrices(topology, weights)
-    tanh = topology.hidden_activation is Activation.TANH
-    hs = [inputs]
-    for k, W in enumerate(mats):
-        z = W @ hs[-1]
-        # activation on hidden layers only, never on the output node
-        if k < len(mats) - 1 and tanh:
-            z = np.tanh(z)
-        hs.append(z)
-    return hs
-
-
-def forward(topology: Topology, inputs, weights) -> float:
-    """Network output for one input window and one flat weight vector."""
-    inputs = np.asarray(inputs, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if inputs.shape != (topology.input_width,):
-        raise ValueError(f"expected {topology.input_width} inputs, got {inputs.shape}")
-    if weights.shape != (topology.weight_count,):
-        raise ValueError(f"expected {topology.weight_count} weights, got {weights.shape}")
-    if topology.kind is TopologyKind.WEIGHTED_SUM:
-        return float(inputs @ weights)
-    return float(_forward_stack(topology, inputs, weights)[-1][0])
-
-
-def forward_batch(topology: Topology, inputs: np.ndarray,
-                  weights: np.ndarray) -> np.ndarray:
-    """Row-paired batch of `forward`: inputs (m, b) with weights (m, c)."""
-    inputs = np.asarray(inputs, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if topology.kind is TopologyKind.WEIGHTED_SUM:
-        return np.einsum("ij,ij->i", inputs, weights)
+def _layer_outputs(topology: Topology, inputs: np.ndarray, weights: np.ndarray):
+    """Row-paired forward pass: layer matrices (m, out, in) and layer inputs
+    [h_0 = inputs, h_1, ..., h_L], with h_L the (m, 1) output."""
     m = inputs.shape[0]
     widths = topology.layer_widths
     tanh = topology.hidden_activation is Activation.TANH
-    h = inputs
-    offset = 0
     n_layers = len(widths) - 1
+    mats, hs = [], [inputs]
+    offset = 0
     for k in range(n_layers):
         n_in, n_out = widths[k], widths[k + 1]
         W = weights[:, offset:offset + n_in * n_out].reshape(m, n_out, n_in)
         offset += n_in * n_out
-        h = np.einsum("moi,mi->mo", W, h)
+        h = np.einsum("moi,mi->mo", W, hs[-1])
+        # activation on hidden layers only, never on the output node
         if k < n_layers - 1 and tanh:
             h = np.tanh(h)
-    return h[:, 0]
+        mats.append(W)
+        hs.append(h)
+    return mats, hs
 
 
-def forward_gradients(topology: Topology, inputs, weights):
-    """Gradient of `forward` w.r.t. inputs (length b) and weights (length c)."""
+def forward_batch(topology: Topology, inputs: np.ndarray,
+                  weights: np.ndarray) -> np.ndarray:
+    """Network outputs for row-paired inputs (m, b) and flat weights (m, c)."""
     inputs = np.asarray(inputs, dtype=float)
     weights = np.asarray(weights, dtype=float)
+    rows = inputs.shape[:1]
+    if (inputs.shape != rows + (topology.input_width,)
+            or weights.shape != rows + (topology.weight_count,)):
+        raise ValueError(f"expected (m, {topology.input_width}) inputs and "
+                         f"(m, {topology.weight_count}) weights, got "
+                         f"{inputs.shape} and {weights.shape}")
     if topology.kind is TopologyKind.WEIGHTED_SUM:
-        return weights.copy(), inputs.copy()
-    mats = _layer_matrices(topology, weights)
-    tanh = topology.hidden_activation is Activation.TANH
-    hs = _forward_stack(topology, inputs, weights)
-    delta = np.ones(1)
-    grad_parts: list[np.ndarray] = [np.empty(0)] * len(mats)
-    grad_inputs = np.empty(0)
-    for k in range(len(mats) - 1, -1, -1):
-        grad_parts[k] = np.outer(delta, hs[k]).ravel()
-        back = mats[k].T @ delta
-        if k == 0:
-            grad_inputs = back
-        elif tanh:
-            # hs[k] is the activated hidden output, so tanh' = 1 - hs[k]^2
-            delta = back * (1.0 - hs[k] ** 2)
-        else:
-            delta = back
-    return grad_inputs, np.concatenate(grad_parts)
+        return np.einsum("ij,ij->i", inputs, weights)
+    return _layer_outputs(topology, inputs, weights)[1][-1][:, 0]
 
 
-def transition(topology: Topology, state):
-    """One-step map: push the network output onto the shifted position block.
+def transition_batch(topology: Topology, states: np.ndarray) -> np.ndarray:
+    """One-step map of each row: push the network output onto the shifted
+    position block.
 
     Weights are copied unchanged; the map is deterministic (process noise is
     applied by the estimators, not here).
     """
-    values = _as_values(state)
-    if values.shape != (topology.state_dim,):
-        raise ValueError("state does not match topology dimension")
-    out = values.copy()
-    lead = forward(topology, values[topology.network_input_slice],
-                   values[topology.weight_slice])
-    pos_end = topology.position_count
-    out[1:pos_end] = values[0:pos_end - 1]
-    out[0] = lead
-    if isinstance(state, AugmentedState):
-        return AugmentedState(topology, out)
-    return out
-
-
-def transition_batch(topology: Topology, states: np.ndarray) -> np.ndarray:
     states = np.asarray(states, dtype=float)
     if states.ndim != 2 or states.shape[1] != topology.state_dim:
         raise ValueError("states must be (m, n) for this topology")
@@ -292,42 +190,42 @@ def transition_batch(topology: Topology, states: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict_ahead(topology: Topology, state) -> float:
-    """Horizon-step position forecast from the newest b positions and weights."""
-    values = _as_values(state)
-    if values.shape != (topology.state_dim,):
-        raise ValueError("state does not match topology dimension")
-    return forward(topology, values[:topology.input_width],
-                   values[topology.weight_slice])
-
-
 def predict_ahead_batch(topology: Topology, states: np.ndarray) -> np.ndarray:
+    """Horizon-step position forecast of each row from its newest b positions
+    and its weights."""
     states = np.asarray(states, dtype=float)
     return forward_batch(topology, states[:, :topology.input_width],
                          states[:, topology.weight_slice])
 
 
 def transition_jacobian(topology: Topology, state) -> np.ndarray:
-    """Jacobian of `transition` at `state`.
+    """Jacobian of the one-step map at a single state.
 
-    Row 0 carries the network gradients (chain rule) in the network-input and
-    weight columns; the remaining position rows encode the shift; weight rows
-    are identity.
+    Row 0 carries the network gradients, by backprop through the one-row
+    forward pass, in the network-input and weight columns; the remaining
+    position rows encode the shift; weight rows are identity.
     """
-    values = _as_values(state)
-    if values.shape != (topology.state_dim,):
+    state = np.asarray(state, dtype=float)
+    if state.shape != (topology.state_dim,):
         raise ValueError("state does not match topology dimension")
+    mats, hs = _layer_outputs(topology, state[None, topology.network_input_slice],
+                              state[None, topology.weight_slice])
+    tanh = topology.hidden_activation is Activation.TANH
+    delta = np.ones(1)
+    grad_w = [np.empty(0)] * len(mats)
+    for k in range(len(mats) - 1, -1, -1):
+        grad_w[k] = np.outer(delta, hs[k][0]).ravel()
+        delta = mats[k][0].T @ delta
+        if k > 0 and tanh:
+            # hs[k] is the activated hidden output, so tanh' = 1 - hs[k]^2
+            delta = delta * (1.0 - hs[k][0] ** 2)
     n = topology.state_dim
-    J = np.zeros((n, n))
-    g_in, g_w = forward_gradients(topology, values[topology.network_input_slice],
-                                  values[topology.weight_slice])
-    J[0, topology.network_input_slice] = g_in
-    J[0, topology.weight_slice] = g_w
     pos_end = topology.position_count
-    for r in range(1, pos_end):
-        J[r, r - 1] = 1.0
-    for r in range(pos_end, n):
-        J[r, r] = 1.0
+    J = np.zeros((n, n))
+    J[0, topology.network_input_slice] = delta
+    J[0, topology.weight_slice] = np.concatenate(grad_w)
+    J[1:pos_end, :pos_end - 1] = np.eye(pos_end - 1)
+    J[pos_end:, pos_end:] = np.eye(n - pos_end)
     return J
 
 
@@ -336,9 +234,6 @@ class NetworkStateSpace:
 
     def __init__(self, topology: Topology):
         self.topology = topology
-
-    def transition(self, x: np.ndarray) -> np.ndarray:
-        return transition(self.topology, x)
 
     def transition_batch(self, X: np.ndarray) -> np.ndarray:
         return transition_batch(self.topology, X)

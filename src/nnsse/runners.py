@@ -2,20 +2,23 @@
 
 A runner consumes one measurement per step and emits the horizon-step
 position forecast.  Construction is driven by plain parameter dictionaries
-(see `build_runner`) so the CLI config maps onto it directly.  Every random
-choice derives from (run seed, estimator name), making runs reproducible.
+(see `build_runner` and its key table `ESTIMATOR_KINDS`) so the CLI config
+maps onto it directly.  Every random choice derives from (run seed,
+estimator name), making runs reproducible.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
+from dataclasses import fields
 from functools import partial
 
 import numpy as np
 
 from . import model as nnmodel
 from .baselines import (
+    SineModel,
     StackKind,
     StackModel,
     UamModel,
@@ -23,9 +26,7 @@ from .baselines import (
     E4PTRW_WINDOW,
     e4ptrw_refit,
     multi_step_predict,
-    sine_reference_model,
     stack_transition,
-    uam_model,
 )
 from .estimators import (
     GaussianBelief,
@@ -41,32 +42,6 @@ from .model import Activation, NetworkStateSpace, NoiseSpec, Topology
 
 class ConfigError(ValueError):
     """Invalid experiment or estimator configuration."""
-
-
-# Shipped defaults; every value is overridable per estimator section.
-DEFAULTS = {
-    "r": 1.0,
-    "uam_order": 3,
-    # White-noise intensity on the highest derivative (see _uam_noise),
-    # tuned to the kinematic model's own best steady error on the
-    # 200 Hz / amplitude-10 / unit-noise sine benchmark.
-    "uam_q": 1e8,
-    "uam_p0": 100.0,
-    "sine_q": 1e-6,
-    "sine_p0": 100.0,
-    "nnssm_q_pos": 1e-4,
-    "nnssm_q_w": 1e-6,
-    "nnssm_p0_pos": 1.0,
-    "nnssm_p0_w": 0.1,
-    "mlp_init_scale": 0.1,
-    "particles": 1000,
-    # The particle cloud needs a tighter initial weight spread (explosive
-    # weight lineages underflow every likelihood within ~100 steps) and some
-    # position roughening to keep diversity through resampling.
-    "pe_p0_w": 1e-4,
-    "pe_q_pos": 1e-3,
-    "stack_q": 1e-4,
-}
 
 
 def estimator_rng(run_seed: int, name: str) -> np.random.Generator:
@@ -123,7 +98,7 @@ class GaussianRunner(Runner):
 
 class PeRunner(Runner):
     def __init__(self, name, horizon, model, noise: NoiseSpec, n_particles,
-                 predict_batch_fn, init_mean_fn, rng, warmup_hint=1):
+                 predict_batch_fn, init_mean_fn, rng, warmup_hint):
         super().__init__(name, horizon)
         self.model = model
         self.noise = noise
@@ -227,14 +202,6 @@ class RunContext:
         self.sine_omega = sine_omega
 
 
-def _pop_float(params, key, default):
-    return float(params.pop(key, default))
-
-
-def _pop_int(params, key, default):
-    return int(params.pop(key, default))
-
-
 def _uam_noise(m: UamModel, q: float, r: float, p0: float) -> NoiseSpec:
     """Process noise for the kinematic model: white noise on the highest
     derivative with intensity q, integrated over one period."""
@@ -245,44 +212,58 @@ def _uam_noise(m: UamModel, q: float, r: float, p0: float) -> NoiseSpec:
     return NoiseSpec(Q, r, p0 * np.eye(k))
 
 
-def _parse_network(params, horizon):
-    net = str(params.pop("network", "weighted_sum")).strip().lower()
-    activation = str(params.pop("activation", "identity")).strip().lower()
+def _uam_runner(name, kind, p, ctx: RunContext) -> Runner:
+    a = ctx.horizon
+    m = UamModel(p["order"], ctx.sample_period)
+    noise = _uam_noise(m, p["q"], p["r"], p["p0"])
+
+    def init(z, k=m.order):
+        mean = np.zeros(k)
+        mean[0] = z
+        return mean
+
+    if kind == "uam_lke":
+        step_fn = partial(lke_step, m.F, noise)
+    else:
+        step_fn = partial(uke_step, _LinearAdapter(m.F), noise,
+                          params=UkeParams(p["alpha"], p["beta"], p["kappa"]))
+    return GaussianRunner(name, a, step_fn, noise.Pi0,
+                          lambda mean: multi_step_predict(m, mean, a), init, m.order)
+
+
+def _sine_runner(name, kind, p, ctx: RunContext) -> Runner:
+    a = ctx.horizon
+    omega = float(ctx.sine_omega or 1.0) if p["omega"] is None else p["omega"]
+    m = SineModel(omega, ctx.sample_period)
+    noise = NoiseSpec(p["q"] * np.eye(2), p["r"], p["p0"] * np.eye(2))
+    return GaussianRunner(name, a, partial(lke_step, m.F, noise), noise.Pi0,
+                          lambda mean: m.predict_n(mean, a),
+                          lambda z: np.array([z, 0.0]), 2)
+
+
+def _parse_network(p, horizon) -> Topology:
+    net = p["network"].strip().lower()
+    activation = p["activation"].strip().lower()
     act = {"identity": Activation.IDENTITY, "tanh": Activation.TANH}.get(activation)
     if act is None:
         raise ConfigError(f"unknown activation {activation!r}")
     if net in ("weighted_sum", "ws"):
-        b = _pop_int(params, "input_width", 25)
         if act is not Activation.IDENTITY:
             raise ConfigError("weighted_sum network has no hidden activation")
-        return Topology.weighted_sum(b, horizon_a=horizon)
+        return Topology.weighted_sum(p["input_width"], horizon_a=horizon)
     try:
         widths = [int(w) for w in net.replace("x", "-").split("-")]
     except ValueError:
         raise ConfigError(f"cannot parse network spec {net!r}") from None
-    params.pop("input_width", None)
     return Topology.mlp(widths, act, horizon_a=horizon)
 
 
-def _nnssm_noise(top: Topology, params) -> NoiseSpec:
-    q_pos = _pop_float(params, "q_pos", DEFAULTS["nnssm_q_pos"])
-    q_w = _pop_float(params, "q_w", DEFAULTS["nnssm_q_w"])
-    p0_pos = _pop_float(params, "p0_pos", DEFAULTS["nnssm_p0_pos"])
-    p0_w = _pop_float(params, "p0_w", DEFAULTS["nnssm_p0_w"])
-    r = _pop_float(params, "r", DEFAULTS["r"])
-    n_pos, c = top.position_count, top.weight_count
-    Q = np.diag([q_pos] * n_pos + [q_w] * c)
-    P0 = np.diag([p0_pos] * n_pos + [p0_w] * c)
-    return NoiseSpec(Q, r, P0)
-
-
-def _nnssm_init_fn(top: Topology, rng: np.random.Generator, params):
+def _nnssm_init_fn(top: Topology, rng: np.random.Generator, scale: float):
     """Initial augmented mean: position block at the first measurement.
 
     Weighted-sum weights start as the newest-position selector (persistence
     predictor); multilayer weights start uniform in +-scale.
     """
-    scale = _pop_float(params, "init_scale", DEFAULTS["mlp_init_scale"])
     if top.kind is nnmodel.TopologyKind.WEIGHTED_SUM:
         w0 = np.zeros(top.weight_count)
         w0[0] = 1.0
@@ -295,129 +276,120 @@ def _nnssm_init_fn(top: Topology, rng: np.random.Generator, params):
     return init
 
 
-def _uke_params(params) -> UkeParams:
-    default = UkeParams()
-    return UkeParams(_pop_float(params, "alpha", default.alpha),
-                     _pop_float(params, "beta", default.beta),
-                     _pop_float(params, "kappa", default.kappa))
+def _nnsse_runner(name, kind, p, ctx: RunContext) -> Runner:
+    a = ctx.horizon
+    top = _parse_network(p, a)
+    n_pos, c = top.position_count, top.weight_count
+    noise = NoiseSpec(np.diag([p["q_pos"]] * n_pos + [p["q_w"]] * c), p["r"],
+                      np.diag([p["p0_pos"]] * n_pos + [p["p0_w"]] * c))
+    rng = estimator_rng(ctx.seed, name)
+    init = _nnssm_init_fn(top, rng, p["init_scale"])
+    net = NetworkStateSpace(top)
+    if kind == "nnsse_pe":
+        return PeRunner(name, a, net, noise, p["particles"],
+                        lambda X: nnmodel.predict_ahead_batch(top, X),
+                        init, rng, top.input_width)
+    if kind == "nnsse_uke":
+        step_fn = partial(uke_step, net, noise,
+                          params=UkeParams(p["alpha"], p["beta"], p["kappa"]))
+    else:
+        step_fn = partial(eke_step, net, noise)
+    return GaussianRunner(name, a, step_fn, noise.Pi0,
+                          lambda mean: nnmodel.predict_ahead_batch(top, mean[None])[0],
+                          init, top.input_width)
 
 
-def _reject_leftovers(name, params):
-    if params:
-        raise ConfigError(f"estimator {name!r}: unknown parameter(s) "
-                          f"{sorted(params)}")
+def _stack_runner(name, kind, p, ctx: RunContext) -> Runner:
+    a = ctx.horizon
+    stack_name = p["stack"].upper()
+    try:
+        skind = StackKind[stack_name]
+    except KeyError:
+        raise ConfigError(f"unknown stack kind {stack_name!r}") from None
+    if skind is StackKind.E4PTRW:
+        raise ConfigError("use kind=e4ptrw for the online-regressed stack")
+    mode = p["mode"].strip().lower()
+    stack = stack_transition(skind)
+    if mode == "open":
+        return OpenLoopStackRunner(name, a, stack)
+    if mode != "lke":
+        raise ConfigError(f"unknown stack mode {mode!r}")
+    k = stack.k
+    noise = NoiseSpec(p["q"] * np.eye(k), p["r"], p["p0"] * np.eye(k))
+    return GaussianRunner(name, a, partial(lke_step, stack.F, noise), noise.Pi0,
+                          lambda mean: multi_step_predict(stack, mean, a),
+                          lambda z: np.full(k, z), k)
+
+
+def _e4ptrw_runner(name, kind, p, ctx: RunContext) -> Runner:
+    window = p["window"]
+    if window < E4PTRW_MIN_PAIRS:
+        raise ConfigError(f"estimator {name!r}: e4ptrw window must be >= "
+                          f"{E4PTRW_MIN_PAIRS}, got {window}")
+    return E4ptrwRunner(name, ctx.horizon, window)
+
+
+_UAM_KEYS = {
+    "order": 3,
+    # White-noise intensity on the highest derivative (see _uam_noise),
+    # tuned to the kinematic model's own best steady error on the
+    # 200 Hz / amplitude-10 / unit-noise sine benchmark.
+    "q": 1e8,
+    "r": 1.0,
+    "p0": 100.0,
+}
+_UKE_KEYS = {f.name: f.default for f in fields(UkeParams)}
+_NNSSE_KEYS = {
+    "network": "weighted_sum",  # weighted_sum | ws | layer widths such as 5-5-1
+    "activation": "identity",   # identity | tanh, on hidden layers only
+    "input_width": 25,          # weighted sum only; an MLP reads its first width
+    "q_pos": 1e-4,
+    "q_w": 1e-6,
+    "p0_pos": 1.0,
+    "p0_w": 0.1,
+    "r": 1.0,
+    "init_scale": 0.1,          # MLP weights start uniform in +-init_scale
+}
+# `stack` accepts these only with mode = lke.
+_STACK_LKE_KEYS = {"q": 1e-4, "r": 1.0, "p0": 1.0}
+
+# The one table of estimator kinds: kind -> (builder, accepted keys with their
+# shipped defaults).  Every key is overridable per estimator section and any
+# other key is rejected.  A configured value is converted to the type of its
+# default; a None default takes a float.
+ESTIMATOR_KINDS = {
+    "uam_lke": (_uam_runner, _UAM_KEYS),
+    "uam_uke": (_uam_runner, {**_UAM_KEYS, **_UKE_KEYS}),
+    # omega None: the sine trajectory's own frequency, else 1.0
+    "sine_lke": (_sine_runner, {"omega": None, "q": 1e-6, "r": 1.0, "p0": 100.0}),
+    "nnsse_uke": (_nnsse_runner, {**_NNSSE_KEYS, **_UKE_KEYS}),
+    "nnsse_eke": (_nnsse_runner, _NNSSE_KEYS),
+    # The particle cloud needs a tighter initial weight spread (explosive
+    # weight lineages underflow every likelihood within ~100 steps) and some
+    # position roughening to keep diversity through resampling.
+    "nnsse_pe": (_nnsse_runner, {**_NNSSE_KEYS, "q_pos": 1e-3, "p0_w": 1e-4,
+                                 "particles": 1000}),
+    "stack": (_stack_runner, {"stack": "E4P", "mode": "open"}),
+    "e4ptrw": (_e4ptrw_runner, {"window": E4PTRW_WINDOW}),
+}
 
 
 def build_runner(name: str, kind: str, params: dict, ctx: RunContext) -> Runner:
-    """Construct a runner from its config section."""
-    params = dict(params)
+    """Construct a runner from its config section; see `ESTIMATOR_KINDS`."""
     kind = kind.strip().lower()
-    a, T = ctx.horizon, ctx.sample_period
-
-    if kind in ("uam_lke", "uam_uke"):
-        order = _pop_int(params, "order", DEFAULTS["uam_order"])
-        m = uam_model(order, T)
-        noise = _uam_noise(m, _pop_float(params, "q", DEFAULTS["uam_q"]),
-                           _pop_float(params, "r", DEFAULTS["r"]),
-                           _pop_float(params, "p0", DEFAULTS["uam_p0"]))
-
-        def init(z, k=order):
-            mean = np.zeros(k)
-            mean[0] = z
-            return mean
-
-        if kind == "uam_lke":
-            step_fn = partial(lke_step, m.F, m.H, noise)
-        else:
-            step_fn = partial(uke_step, _LinearAdapter(m.F), noise,
-                              params=_uke_params(params))
-        runner = GaussianRunner(name, a, step_fn, noise.Pi0,
-                                lambda mean: multi_step_predict(m, mean, a),
-                                init, order)
-        _reject_leftovers(name, params)
-        return runner
-
-    if kind == "sine_lke":
-        omega_default = ctx.sine_omega if ctx.sine_omega else 1.0
-        omega = _pop_float(params, "omega", omega_default)
-        m = sine_reference_model(omega, T)
-        q = _pop_float(params, "q", DEFAULTS["sine_q"])
-        r = _pop_float(params, "r", DEFAULTS["r"])
-        p0 = _pop_float(params, "p0", DEFAULTS["sine_p0"])
-        noise = NoiseSpec(q * np.eye(2), r, p0 * np.eye(2))
-        runner = GaussianRunner(
-            name, a, partial(lke_step, m.F, m.H, noise), noise.Pi0,
-            lambda mean: m.predict_n(mean, a),
-            lambda z: np.array([z, 0.0]), 2)
-        _reject_leftovers(name, params)
-        return runner
-
-    if kind in ("nnsse_uke", "nnsse_eke", "nnsse_pe"):
-        top = _parse_network(params, a)
-        if kind == "nnsse_pe":
-            params.setdefault("p0_w", DEFAULTS["pe_p0_w"])
-            params.setdefault("q_pos", DEFAULTS["pe_q_pos"])
-        noise = _nnssm_noise(top, params)
-        rng = estimator_rng(ctx.seed, name)
-        init = _nnssm_init_fn(top, rng, params)
-        net = NetworkStateSpace(top)
-        if kind == "nnsse_pe":
-            n_particles = _pop_int(params, "particles", DEFAULTS["particles"])
-            runner = PeRunner(
-                name, a, net, noise, n_particles,
-                lambda X: nnmodel.predict_ahead_batch(top, X),
-                init, rng, warmup_hint=top.input_width)
-        else:
-            if kind == "nnsse_uke":
-                step_fn = partial(uke_step, net, noise, params=_uke_params(params))
-            else:
-                step_fn = partial(eke_step, net, noise)
-            runner = GaussianRunner(
-                name, a, step_fn, noise.Pi0,
-                lambda mean: nnmodel.predict_ahead(top, mean),
-                init, top.input_width)
-        _reject_leftovers(name, params)
-        return runner
-
-    if kind == "stack":
-        stack_name = str(params.pop("stack", "E4P")).upper()
-        try:
-            skind = StackKind[stack_name]
-        except KeyError:
-            raise ConfigError(f"unknown stack kind {stack_name!r}") from None
-        if skind is StackKind.E4PTRW:
-            raise ConfigError("use kind=e4ptrw for the online-regressed stack")
-        mode = str(params.pop("mode", "open")).strip().lower()
-        stack = stack_transition(skind)
-        if mode == "open":
-            runner = OpenLoopStackRunner(name, a, stack)
-        elif mode == "lke":
-            q = _pop_float(params, "q", DEFAULTS["stack_q"])
-            r = _pop_float(params, "r", DEFAULTS["r"])
-            p0 = _pop_float(params, "p0", 1.0)
-            noise = NoiseSpec(q * np.eye(stack.k), r, p0 * np.eye(stack.k))
-
-            def init(z, k=stack.k):
-                return np.full(k, z)
-
-            runner = GaussianRunner(
-                name, a, partial(lke_step, stack.F, stack.H, noise), noise.Pi0,
-                lambda mean: multi_step_predict(stack, mean, a), init, stack.k)
-        else:
-            raise ConfigError(f"unknown stack mode {mode!r}")
-        _reject_leftovers(name, params)
-        return runner
-
-    if kind == "e4ptrw":
-        window = _pop_int(params, "window", E4PTRW_WINDOW)
-        if window < E4PTRW_MIN_PAIRS:
-            raise ConfigError(f"estimator {name!r}: e4ptrw window must be >= "
-                              f"{E4PTRW_MIN_PAIRS}, got {window}")
-        runner = E4ptrwRunner(name, a, window)
-        _reject_leftovers(name, params)
-        return runner
-
-    raise ConfigError(f"unknown estimator kind {kind!r}")
+    if kind not in ESTIMATOR_KINDS:
+        raise ConfigError(f"unknown estimator kind {kind!r}")
+    build, defaults = ESTIMATOR_KINDS[kind]
+    if kind == "stack" and str(params.get("mode", "open")).strip().lower() == "lke":
+        defaults = {**defaults, **_STACK_LKE_KEYS}
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ConfigError(f"estimator {name!r}: unknown parameter(s) {unknown}")
+    values = dict(defaults)
+    for key, value in params.items():
+        default = defaults[key]
+        values[key] = float(value) if default is None else type(default)(value)
+    return build(name, kind, values, ctx)
 
 
 class _LinearAdapter:

@@ -15,9 +15,7 @@ from nnsse.baselines import (
     UamModel,
     e4ptrw_refit,
     multi_step_predict,
-    sine_reference_model,
     stack_transition,
-    uam_model,
     uam_predict_n,
 )
 from nnsse.estimators import GaussianBelief, lke_step
@@ -49,15 +47,15 @@ def test_uam_predict_order4_adds_jerk_term():
 
 def test_uam_transition_matrix_order3():
     T = 0.01
-    F = uam_model(3, T).F
+    F = UamModel(3, T).F
     np.testing.assert_allclose(F, [[1, T, T * T / 2], [0, 1, T], [0, 0, 1]])
 
 
 def test_uam_model_validation():
     with pytest.raises(ValueError):
-        uam_model(5, 0.1)
+        UamModel(5, 0.1)
     with pytest.raises(ValueError):
-        uam_model(2, 0.0)
+        UamModel(2, 0.0)
 
 
 def test_uam_lke_reproduces_matching_polynomials():
@@ -72,12 +70,12 @@ def test_uam_lke_reproduces_matching_polynomials():
         4: 1.0 + 0.5 * t + 0.25 * t * t + 0.1 * t ** 3,
     }
     for order, z in polys.items():
-        m = uam_model(order, T)
+        m = UamModel(order, T)
         noise = NoiseSpec(1e-6 * np.eye(order), 1e-2, np.eye(order))
         belief = GaussianBelief(np.zeros(order), np.eye(order))
         innov = np.empty(steps)
         for i in range(steps):
-            belief, innov[i] = lke_step(m.F, m.H, noise, belief, z[i])
+            belief, innov[i] = lke_step(m.F, noise, belief, z[i])
         assert np.abs(innov[-100:]).max() < 1e-6, f"order {order}"
 
 
@@ -213,12 +211,12 @@ def test_refit_drops_rows_with_non_finite_input_or_target():
 
 
 def test_sine_quarter_turn():
-    m = sine_reference_model(np.pi / 2, 1.0)  # omega*T = pi/2
+    m = SineModel(np.pi / 2, 1.0)  # omega*T = pi/2
     np.testing.assert_allclose(m.F @ np.array([1.0, 0.0]), [0.0, -1.0], atol=1e-15)
 
 
 def test_sine_n_step_amplitude():
-    m = sine_reference_model(2 * np.pi, 0.005)
+    m = SineModel(2 * np.pi, 0.005)
     A = 3.5
     for n in (1, 3, 10):
         assert m.predict_n([A, 0.0], n) == pytest.approx(A * np.cos(n * m.omega * m.T))
@@ -226,9 +224,9 @@ def test_sine_n_step_amplitude():
 
 def test_sine_model_validation():
     with pytest.raises(ValueError):
-        sine_reference_model(0.0, 0.1)
+        SineModel(0.0, 0.1)
     with pytest.raises(ValueError):
-        sine_reference_model(1.0, -0.1)
+        SineModel(1.0, -0.1)
 
 
 def test_sine_lke_innovations_decay_on_noiseless_sine():
@@ -237,12 +235,12 @@ def test_sine_lke_innovations_decay_on_noiseless_sine():
     omega = 2 * np.pi  # 1 s period
     steps = 3000
     z = 10.0 * np.sin(omega * np.arange(steps) * T)
-    m = sine_reference_model(omega, T)
+    m = SineModel(omega, T)
     noise = NoiseSpec(1e-6 * np.eye(2), 1e-2, np.eye(2))
     belief = GaussianBelief(np.zeros(2), 10.0 * np.eye(2))
     innov = np.empty(steps)
     for i in range(steps):
-        belief, innov[i] = lke_step(m.F, m.H, noise, belief, z[i])
+        belief, innov[i] = lke_step(m.F, noise, belief, z[i])
     assert np.abs(innov[-100:]).max() < 1e-8
 
 
@@ -272,6 +270,6 @@ def test_multi_step_requires_positive_n():
 
 
 def test_multi_step_uam_matches_closed_form():
-    m = uam_model(3, 0.02)
+    m = UamModel(3, 0.02)
     state = np.array([1.0, -2.0, 0.5])
     assert multi_step_predict(m, state, 7) == pytest.approx(uam_predict_n(state, 7, 0.02))

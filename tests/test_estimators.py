@@ -30,9 +30,6 @@ class LinearModel:
     def __init__(self, F):
         self.F = np.asarray(F, dtype=float)
 
-    def transition(self, x):
-        return self.F @ x
-
     def transition_batch(self, X):
         return X @ self.F.T
 
@@ -144,17 +141,17 @@ def test_lke_infinite_measurement_noise_keeps_prior():
     F = uam3_F()
     noise = NoiseSpec(np.zeros((3, 3)), 1e18, np.eye(3))
     belief = GaussianBelief(np.array([1.0, 2.0, 3.0]), np.eye(3))
-    posterior, innov = lke_step(F, np.array([1.0, 0.0, 0.0]), noise, belief, 100.0)
+    posterior, innov = lke_step(F, noise, belief, 100.0)
     np.testing.assert_allclose(posterior.mean, F @ belief.mean, atol=1e-9)
     np.testing.assert_allclose(posterior.cov, F @ belief.cov @ F.T, atol=1e-9)
     assert innov == pytest.approx(100.0 - (F @ belief.mean)[0])
 
 
 def test_lke_scalar_hand_case():
-    # F=1, H=1, Q=0, R=1, P=1, x=0, z=2  ->  K=1/2, mean=1, cov=1/2
+    # F=1, Q=0, R=1, P=1, x=0, z=2  ->  K=1/2, mean=1, cov=1/2
     noise = NoiseSpec(np.zeros((1, 1)), 1.0, np.ones((1, 1)))
     belief = GaussianBelief(np.zeros(1), np.ones((1, 1)))
-    posterior, innov = lke_step(np.ones((1, 1)), np.ones(1), noise, belief, 2.0)
+    posterior, innov = lke_step(np.ones((1, 1)), noise, belief, 2.0)
     assert posterior.mean[0] == pytest.approx(1.0)
     assert posterior.cov[0, 0] == pytest.approx(0.5)
     assert innov == pytest.approx(2.0)
@@ -169,9 +166,8 @@ def test_lke_noiseless_quadratic_innovations_vanish():
     z = 1.0 + 0.5 * t + 0.25 * t * t
     belief = GaussianBelief(np.array([z[0], 0.0, 0.0]), np.eye(3))
     innovations = np.empty(steps)
-    H = np.array([1.0, 0.0, 0.0])
     for i in range(steps):
-        belief, innovations[i] = lke_step(F, H, noise, belief, z[i])
+        belief, innovations[i] = lke_step(F, noise, belief, z[i])
     assert np.abs(innovations[-100:]).max() < 1e-6
 
 
@@ -179,7 +175,7 @@ def test_lke_dimension_check():
     noise = NoiseSpec(np.eye(2), 1.0, np.eye(2))
     belief = GaussianBelief(np.zeros(3), np.eye(3))
     with pytest.raises(ValueError):
-        lke_step(np.eye(3), np.array([1.0, 0.0, 0.0]), noise, belief, 0.0)
+        lke_step(np.eye(3), noise, belief, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +189,13 @@ def run_linear_comparison(seed, steps=1000, params=UkeParams(1.0, 2.0, 0.0)):
     model = LinearModel(F)
     noise = NoiseSpec(np.diag([1e-4, 1e-3, 1e-2]), 1.0, np.eye(3))
     z = 10.0 * np.sin(2 * np.pi * np.arange(steps) / 200.0) + rng.standard_normal(steps)
-    H = np.array([1.0, 0.0, 0.0])
     b_l = GaussianBelief(np.array([z[0], 0.0, 0.0]), np.eye(3))
     b_u = GaussianBelief(np.array([z[0], 0.0, 0.0]), np.eye(3))
     b_e = GaussianBelief(np.array([z[0], 0.0, 0.0]), np.eye(3))
     max_rel_u = 0.0
     max_rel_e = 0.0
     for i in range(steps):
-        b_l, _ = lke_step(F, H, noise, b_l, z[i])
+        b_l, _ = lke_step(F, noise, b_l, z[i])
         b_u, _ = uke_step(model, noise, b_u, z[i], params)
         b_e, _ = eke_step(model, noise, b_e, z[i])
         denom = max(np.abs(b_l.mean).max(), 1e-12)
@@ -326,10 +321,8 @@ def test_eke_frozen_weights_equals_position_block_lke():
         F_pos[r, r - 1] = 1.0
     noise_pos = NoiseSpec(1e-4 * np.eye(k), 1.0, np.eye(k))
     belief_pos = GaussianBelief(np.zeros(k), np.eye(k))
-    H_pos = np.zeros(k)
-    H_pos[0] = 1.0
     for i in range(80):
-        belief_pos, _ = lke_step(F_pos, H_pos, noise_pos, belief_pos, z[i])
+        belief_pos, _ = lke_step(F_pos, noise_pos, belief_pos, z[i])
         belief, _ = eke_step(model, noise, belief, z[i])
         np.testing.assert_allclose(belief.mean[:k], belief_pos.mean, atol=1e-12)
         np.testing.assert_allclose(belief.cov[:k, :k], belief_pos.cov, atol=1e-12)
@@ -386,14 +379,13 @@ def test_pe_tracks_lke_posterior_mean():
     Q = np.diag([1e-4, 1e-3, 1e-2])
     noise = NoiseSpec(Q, 1.0, np.eye(3))
     _, z = simulate_uam3_truth(steps, Q, 1.0, np.random.default_rng(3))
-    H = np.array([1.0, 0.0, 0.0])
     belief = GaussianBelief(np.zeros(3), np.eye(3))
     prng = np.random.default_rng(12345)
     N = 4000
     parts = ParticleSet(prng.standard_normal((N, 3)), np.full(N, 1.0 / N))
     err = np.empty(steps)
     for i in range(steps):
-        belief, _ = lke_step(F, H, noise, belief, z[i])
+        belief, _ = lke_step(F, noise, belief, z[i])
         parts, _ = pe_step(model, noise, parts, z[i], prng)
         err[i] = parts.mean()[0] - belief.mean[0]
     rmse = float(np.sqrt(np.mean(err ** 2)))

@@ -7,29 +7,59 @@ import pytest
 
 from nnsse.model import (
     Activation,
-    AugmentedState,
     NetworkStateSpace,
     NoiseSpec,
     Topology,
     TopologyKind,
-    forward,
     forward_batch,
-    forward_gradients,
-    predict_ahead,
     predict_ahead_batch,
-    transition,
     transition_batch,
     transition_jacobian,
     weight_count,
 )
 
 
-def dense_mlp_oracle(layer_mats, inputs):
-    """Identity-activation reference: plain chained matrix products."""
+def dense_mlp_oracle(layer_mats, inputs, tanh=False):
+    """Reference network: plain chained matrix products, with tanh on the
+    hidden layers (never on the output) when asked."""
     h = np.asarray(inputs, dtype=float)
-    for W in layer_mats:
+    for k, W in enumerate(layer_mats):
         h = np.asarray(W) @ h
+        if tanh and k < len(layer_mats) - 1:
+            h = np.tanh(h)
     return float(h[0])
+
+
+def layer_mats(topology, weights):
+    """Split a flat weight vector into row-major (out, in) layer matrices."""
+    mats = []
+    off = 0
+    for k in range(len(topology.layer_widths) - 1):
+        n_in, n_out = topology.layer_widths[k], topology.layer_widths[k + 1]
+        mats.append(weights[off:off + n_in * n_out].reshape(n_out, n_in))
+        off += n_in * n_out
+    return mats
+
+
+def oracle(topology, inputs, weights):
+    tanh = topology.hidden_activation is Activation.TANH
+    return dense_mlp_oracle(layer_mats(topology, weights), inputs, tanh)
+
+
+def forward_one(topology, inputs, weights):
+    """`forward_batch` on a one-row batch."""
+    return float(forward_batch(topology, np.asarray([inputs], dtype=float),
+                               np.asarray([weights], dtype=float))[0])
+
+
+def transition_one(topology, state):
+    """`transition_batch` on a one-row batch."""
+    return transition_batch(topology, np.asarray([state], dtype=float))[0]
+
+
+def predict_ahead_one(topology, state):
+    """`predict_ahead_batch` on a one-row batch."""
+    return float(predict_ahead_batch(topology, np.asarray([state], dtype=float))[0])
 
 
 def fd_jacobian(topology, values, step=1e-6):
@@ -41,7 +71,7 @@ def fd_jacobian(topology, values, step=1e-6):
         lo = values.copy()
         hi[j] += step
         lo[j] -= step
-        J[:, j] = (transition(topology, hi) - transition(topology, lo)) / (2 * step)
+        J[:, j] = (transition_one(topology, hi) - transition_one(topology, lo)) / (2 * step)
     return J
 
 
@@ -99,26 +129,7 @@ def test_state_dim_counts():
 
 
 # ---------------------------------------------------------------------------
-# AugmentedState layout
-
-
-def test_augmented_state_roundtrip():
-    rng = np.random.default_rng(7)
-    for top in random_topologies():
-        pos = rng.standard_normal(top.position_count)
-        w = rng.standard_normal(top.weight_count)
-        st = AugmentedState.from_blocks(top, pos, w)
-        assert np.array_equal(st.positions, pos)
-        assert np.array_equal(st.weights, w)
-        assert st.values.size == top.state_dim
-
-
-def test_augmented_state_length_check():
-    top = Topology.weighted_sum(3)
-    with pytest.raises(ValueError):
-        AugmentedState(top, np.zeros(5))
-    with pytest.raises(ValueError):
-        AugmentedState.from_blocks(top, np.zeros(2), np.zeros(3))
+# NoiseSpec
 
 
 def test_noise_spec_validation():
@@ -134,18 +145,18 @@ def test_noise_spec_validation():
 
 
 # ---------------------------------------------------------------------------
-# forward
+# forward_batch
 
 
 def test_forward_selector_weight():
     top = Topology.weighted_sum(3)
-    assert forward(top, [4, 7, 9], [1, 0, 0]) == pytest.approx(4.0)
+    assert forward_one(top, [4, 7, 9], [1, 0, 0]) == pytest.approx(4.0)
 
 
 def test_forward_averaging_preserves_constants():
     top = Topology.weighted_sum(25)
     k = 3.7
-    out = forward(top, np.full(25, k), np.full(25, 1 / 25))
+    out = forward_one(top, np.full(25, k), np.full(25, 1 / 25))
     assert out == pytest.approx(k, abs=1e-12)
 
 
@@ -156,15 +167,19 @@ def test_forward_mlp_221_identity():
     w = np.concatenate([l1.ravel(), l2.ravel()])
     expected = dense_mlp_oracle([l1, l2], [2.0, 3.0])
     assert expected == 5.0
-    assert forward(top, [2.0, 3.0], w) == pytest.approx(expected)
+    assert forward_one(top, [2.0, 3.0], w) == pytest.approx(expected)
 
 
 def test_forward_dimension_errors():
     top = Topology.weighted_sum(3)
     with pytest.raises(ValueError):
-        forward(top, [1, 2], [1, 0, 0])
+        forward_one(top, [1, 2], [1, 0, 0])
     with pytest.raises(ValueError):
-        forward(top, [1, 2, 3], [1, 0])
+        forward_one(top, [1, 2, 3], [1, 0])
+    with pytest.raises(ValueError):
+        forward_one(top, [1], [1, 0, 0])  # no broadcast of a short window
+    with pytest.raises(ValueError):
+        forward_one(Topology.mlp([2, 2, 1]), [1, 2], np.ones(7))  # 6 weights
 
 
 def test_forward_identity_mlp_equals_dense_oracle():
@@ -176,14 +191,8 @@ def test_forward_identity_mlp_equals_dense_oracle():
         for _ in range(cases_per_top):
             w = rng.standard_normal(top.weight_count)
             x = rng.standard_normal(top.input_width)
-            mats = []
-            off = 0
-            for k in range(len(top.layer_widths) - 1):
-                n_in, n_out = top.layer_widths[k], top.layer_widths[k + 1]
-                mats.append(w[off:off + n_in * n_out].reshape(n_out, n_in))
-                off += n_in * n_out
-            expected = dense_mlp_oracle(mats, x)
-            got = forward(top, x, w)
+            expected = dense_mlp_oracle(layer_mats(top, w), x)
+            got = forward_one(top, x, w)
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
@@ -195,10 +204,10 @@ def test_forward_weighted_sum_linearity():
         v = rng.standard_normal(7)
         w = rng.standard_normal(7)
         a, b = rng.standard_normal(2)
-        lhs = forward(top, a * u + b * v, w)
-        rhs = a * forward(top, u, w) + b * forward(top, v, w)
+        lhs = forward_one(top, a * u + b * v, w)
+        rhs = a * forward_one(top, u, w) + b * forward_one(top, v, w)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-        assert forward(top, u, a * w) == pytest.approx(a * forward(top, u, w), rel=1e-12, abs=1e-12)
+        assert forward_one(top, u, a * w) == pytest.approx(a * forward_one(top, u, w), rel=1e-12, abs=1e-12)
 
 
 def test_forward_batch_matches_scalar():
@@ -207,17 +216,17 @@ def test_forward_batch_matches_scalar():
         X = rng.standard_normal((13, top.input_width))
         W = rng.standard_normal((13, top.weight_count))
         batch = forward_batch(top, X, W)
-        ref = np.array([forward(top, X[i], W[i]) for i in range(13)])
+        ref = np.array([oracle(top, X[i], W[i]) for i in range(13)])
         np.testing.assert_allclose(batch, ref, rtol=1e-13, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
-# transition / observe / predict_ahead
+# transition_batch / predict_ahead_batch
 
 
 def test_transition_a1_b2():
     top = Topology.weighted_sum(2, horizon_a=1)
-    out = transition(top, np.array([3.0, 2.0, 1.0, 0.0]))
+    out = transition_one(top, np.array([3.0, 2.0, 1.0, 0.0]))
     np.testing.assert_allclose(out, [3.0, 3.0, 1.0, 0.0])
 
 
@@ -226,7 +235,7 @@ def test_transition_zero_weights():
     for top in random_topologies():
         pos = rng.standard_normal(top.position_count)
         st = np.concatenate([pos, np.zeros(top.weight_count)])
-        out = transition(top, st)
+        out = transition_one(top, st)
         assert out[0] == 0.0
         np.testing.assert_array_equal(out[1:top.position_count], pos[:-1])
         assert not out[top.weight_slice].any()
@@ -236,7 +245,7 @@ def test_transition_a3_b2_index_arithmetic():
     # network reads offsets 2..3 of the position block
     top = Topology.weighted_sum(2, horizon_a=3)
     st = np.array([9.0, 8.0, 7.0, 6.0, 1.0, 0.0])
-    out = transition(top, st)
+    out = transition_one(top, st)
     assert out[0] == pytest.approx(7.0)
     np.testing.assert_allclose(out, [7.0, 9.0, 8.0, 7.0, 1.0, 0.0])
 
@@ -245,16 +254,8 @@ def test_transition_preserves_weights_bitwise():
     rng = np.random.default_rng(17)
     for top in random_topologies():
         st = rng.standard_normal(top.state_dim)
-        out = transition(top, st)
+        out = transition_one(top, st)
         assert np.array_equal(out[top.weight_slice], st[top.weight_slice])
-
-
-def test_transition_accepts_augmented_state():
-    top = Topology.weighted_sum(2, horizon_a=1)
-    st = AugmentedState(top, np.array([3.0, 2.0, 1.0, 0.0]))
-    out = transition(top, st)
-    assert isinstance(out, AugmentedState)
-    np.testing.assert_allclose(out.values, [3.0, 3.0, 1.0, 0.0])
 
 
 def test_transition_batch_matches_scalar():
@@ -262,14 +263,17 @@ def test_transition_batch_matches_scalar():
     for top in random_topologies():
         X = rng.standard_normal((9, top.state_dim))
         batch = transition_batch(top, X)
-        ref = np.stack([transition(top, X[i]) for i in range(9)])
+        ref = X.copy()
+        ref[:, 1:top.position_count] = X[:, :top.position_count - 1]
+        ref[:, 0] = [oracle(top, x[top.network_input_slice], x[top.weight_slice])
+                     for x in X]
         np.testing.assert_allclose(batch, ref, rtol=1e-13, atol=1e-13)
 
 
 def test_predict_ahead_selector():
     top = Topology.weighted_sum(3, horizon_a=2)
     st = np.array([4.0, 7.0, 9.0, 1.0, 1.0, 0.0, 0.0])
-    assert predict_ahead(top, st) == pytest.approx(4.0)
+    assert predict_ahead_one(top, st) == pytest.approx(4.0)
 
 
 def test_predict_ahead_constant_average():
@@ -277,7 +281,7 @@ def test_predict_ahead_constant_average():
     top = Topology.weighted_sum(b, horizon_a=3)
     k = -2.25
     st = np.concatenate([np.full(top.position_count, k), np.full(b, 1 / b)])
-    assert predict_ahead(top, st) == pytest.approx(k, abs=1e-12)
+    assert predict_ahead_one(top, st) == pytest.approx(k, abs=1e-12)
 
 
 def test_predict_ahead_mlp_matches_dense_oracle():
@@ -286,14 +290,14 @@ def test_predict_ahead_mlp_matches_dense_oracle():
     l2 = np.array([[1.0, 1.0]])
     w = np.concatenate([l1.ravel(), l2.ravel()])
     st = np.concatenate([[2.0, 3.0, 99.0], w])
-    assert predict_ahead(top, st) == pytest.approx(dense_mlp_oracle([l1, l2], [2.0, 3.0]))
+    assert predict_ahead_one(top, st) == pytest.approx(dense_mlp_oracle([l1, l2], [2.0, 3.0]))
 
 
 def test_predict_ahead_does_not_mutate():
     top = Topology.weighted_sum(3, horizon_a=2)
-    st = np.arange(7.0)
+    st = np.arange(7.0)[None]
     copy = st.copy()
-    predict_ahead(top, st)
+    predict_ahead_batch(top, st)
     assert np.array_equal(st, copy)
 
 
@@ -303,7 +307,8 @@ def test_predict_ahead_batch_matches_scalar():
     X = rng.standard_normal((6, top.state_dim))
     np.testing.assert_allclose(
         predict_ahead_batch(top, X),
-        [predict_ahead(top, X[i]) for i in range(6)], rtol=1e-13, atol=1e-13)
+        [oracle(top, x[:top.input_width], x[top.weight_slice]) for x in X],
+        rtol=1e-13, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -350,23 +355,26 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_forward_gradients_tanh_fd():
+    # Jacobian row 0 holds the network gradients; at horizon 1 the network
+    # reads the whole position block.
     top = Topology.mlp([4, 3, 1], Activation.TANH)
     rng = np.random.default_rng(8)
     x = rng.uniform(-1, 1, 4)
     w = rng.uniform(-1, 1, top.weight_count)
-    g_in, g_w = forward_gradients(top, x, w)
+    row0 = transition_jacobian(top, np.concatenate([x, w]))[0]
+    g_in, g_w = row0[top.network_input_slice], row0[top.weight_slice]
     step = 1e-6
     for j in range(4):
         hi, lo = x.copy(), x.copy()
         hi[j] += step
         lo[j] -= step
-        fd = (forward(top, hi, w) - forward(top, lo, w)) / (2 * step)
+        fd = (forward_one(top, hi, w) - forward_one(top, lo, w)) / (2 * step)
         assert g_in[j] == pytest.approx(fd, abs=1e-8)
     for j in range(top.weight_count):
         hi, lo = w.copy(), w.copy()
         hi[j] += step
         lo[j] -= step
-        fd = (forward(top, x, hi) - forward(top, x, lo)) / (2 * step)
+        fd = (forward_one(top, x, hi) - forward_one(top, x, lo)) / (2 * step)
         assert g_w[j] == pytest.approx(fd, abs=1e-8)
 
 
@@ -374,5 +382,5 @@ def test_network_state_space_adapter():
     top = Topology.weighted_sum(2, horizon_a=1)
     m = NetworkStateSpace(top)
     st = np.array([3.0, 2.0, 1.0, 0.0])
-    np.testing.assert_allclose(m.transition(st), [3.0, 3.0, 1.0, 0.0])
+    np.testing.assert_allclose(m.transition_batch(st[None])[0], [3.0, 3.0, 1.0, 0.0])
     np.testing.assert_allclose(m.transition_jacobian(st)[0], [1.0, 0.0, 3.0, 2.0])
