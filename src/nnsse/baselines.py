@@ -43,11 +43,8 @@ E4PTRW_MIN_PAIRS = 5
 
 
 def _companion(coeffs: np.ndarray) -> np.ndarray:
-    k = coeffs.size
-    F = np.zeros((k, k))
+    F = np.eye(coeffs.size, k=-1)
     F[0] = coeffs
-    for r in range(1, k):
-        F[r, r - 1] = 1.0
     return F
 
 

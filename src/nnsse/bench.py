@@ -76,6 +76,8 @@ class ExperimentConfig:
             raise ConfigError("horizon must be >= 1")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be unique, got {self.seeds}")
         names = [e.name for e in self.estimators]
         if len(set(names)) != len(names):
             raise ConfigError("estimator names must be unique")
@@ -161,9 +163,6 @@ class RunReport:
     windows: list[tuple[int, int]]
     seed_runs: list[SeedRun]
 
-    def window_label(self, window: tuple[int, int]) -> str:
-        return f"{window[0]}-{window[1]}"
-
     @property
     def failures(self) -> list[tuple[int, str, str]]:
         out = []
@@ -195,9 +194,8 @@ def run_single_seed(config: ExperimentConfig, seed: int, audit: bool = False) ->
     traj = config.make_trajectory(seed)
     n = len(traj)
     a = config.horizon
-    omega = None
-    if traj.meta.get("source") == "sine":
-        omega = 2.0 * np.pi / traj.meta["period_s"]
+    sine = traj.meta.get("source") == "sine"
+    omega = 2.0 * np.pi / traj.meta["period_s"] if sine else None
     ctx = RunContext(a, traj.sample_period, seed, omega)
     runners = [build_runner(e.name, e.kind, e.params, ctx) for e in config.estimators]
     warmup = resolve_warmup(config, runners)
@@ -262,9 +260,12 @@ def _seed_worker(args):
 
 def run_experiment(config: ExperimentConfig, audit: bool = False,
                    parallel: int = 1) -> RunReport:
-    """Run every (seed, estimator) pair; seeds may execute in parallel."""
-    if parallel > 1 and len(config.seeds) > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+    """Run every (seed, estimator) pair, seeds on up to `parallel` processes."""
+    if parallel < 1:
+        raise ConfigError(f"parallel must be >= 1, got {parallel}")
+    workers = min(parallel, len(config.seeds))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             seed_runs = list(pool.map(_seed_worker,
                                       [(config, s, audit) for s in config.seeds]))
     else:

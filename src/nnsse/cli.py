@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .bench import run_experiment
 from .config import load_config
-from .report import emit_report, load_report, render_table, write_summary_csv
+from .report import emit_report, load_report, render_table, report_to_dict, write_summary_csv
 from .runners import ConfigError
 from .signals import TrajectoryFormatError, gen_sine, save_trajectory
 
@@ -79,7 +79,6 @@ def _cmd_run(args) -> int:
     report = run_experiment(config, audit=args.audit, parallel=args.parallel)
     written = emit_report(report, args.format, args.out_dir)
     if args.format == "table":
-        from .report import report_to_dict
         print(render_table(report_to_dict(report)))
     for path in written:
         print(f"wrote {path}")
@@ -112,17 +111,12 @@ def _cmd_report(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    commands = {"simulate": _cmd_simulate, "run": _cmd_run, "report": _cmd_report}
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "report":
-            return _cmd_report(args)
+        return commands[args.command](args)
     except (ConfigError, TrajectoryFormatError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -3,10 +3,12 @@
 The observation is implicit: every estimator observes state coordinate 0, a
 scalar, through the unit selector e_0, so no observation vector is passed and
 the three Kalman variants end in the same scalar-observation update.  The
-linear variant takes a transition matrix F.  The others take a model object
-with ``transition_batch(X)``, which maps each row of an (m, n) array of
-states one step ahead; the extended variant also needs
-``transition_jacobian(x)``, the (n, n) Jacobian at a single state.
+linear variant takes a transition matrix F.  The others take a model of the
+map x' = A x + e_0 f(x), row 0 of the fixed A being zero: ``lead_batch(X)``
+is f at each row, ``linear_part(X)`` is X A^T, ``lead_gradient(x)`` the
+gradient of f at one state (extended only) and ``transition_batch(X)`` the
+whole map of each row (particle only).  Shared time update after Morelande &
+Ristic, ICASSP 2006, and Briers, Maskell & Wright, FUSION 2003.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ class SigmaSet:
     points: np.ndarray
     mean_weights: np.ndarray
     cov_weights: np.ndarray
+    factor: np.ndarray | None = None  # L: points 1..n = mean + L.T, n+1..2n = mean - L.T
 
     def __post_init__(self):
         m, n = self.points.shape
@@ -86,20 +89,20 @@ class SigmaSet:
 def psd_sqrt(M: np.ndarray) -> np.ndarray:
     """Lower-triangular factor of a symmetric PSD matrix.
 
-    Cholesky with escalating diagonal jitter {0, 1e-12, 1e-9, 1e-6} scaled by
-    trace(M)/n.  An exactly zero matrix factors to zero (its trace gives the
-    jitter no scale to work with, and L = 0 already reproduces it).
+    Plain Cholesky, then escalating diagonal jitter {1e-12, 1e-9, 1e-6} scaled
+    by trace(M)/n.  An exactly zero matrix factors to zero (its trace gives the
+    jitter no scale, and L = 0 already reproduces it).
     """
     M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    if not M.any():
-        return np.zeros_like(M)
-    scale = float(np.trace(M)) / n
-    for jitter in (0.0, 1e-12, 1e-9, 1e-6):
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        if not M.any():
+            return np.zeros_like(M)
+    scale = float(np.trace(M)) / M.shape[0]
+    for jitter in (1e-12, 1e-9, 1e-6):
         try:
-            if jitter == 0.0:
-                return np.linalg.cholesky(M)
-            return np.linalg.cholesky(M + (jitter * scale) * np.eye(n))
+            return np.linalg.cholesky(M + (jitter * scale) * np.eye(M.shape[0]))
         except np.linalg.LinAlgError:
             continue
     raise CovarianceDegeneracyError(
@@ -116,21 +119,18 @@ def uke_sigma_points(belief: GaussianBelief, params: UkeParams = UkeParams()) ->
     L = psd_sqrt(s * belief.cov)
     points = np.empty((2 * n + 1, n))
     points[0] = belief.mean
-    points[1:n + 1] = belief.mean[None, :] + L.T
-    points[n + 1:] = belief.mean[None, :] - L.T
+    np.add(belief.mean, L.T, out=points[1:n + 1])
+    np.subtract(belief.mean, L.T, out=points[n + 1:])
     w_mean = np.full(2 * n + 1, 1.0 / (2.0 * s))
     w_mean[0] = lam / s
     w_cov = w_mean.copy()
     w_cov[0] = w_mean[0] + 1.0 - params.alpha ** 2 - params.beta
-    return SigmaSet(points, w_mean, w_cov)
+    return SigmaSet(points, w_mean, w_cov, L)
 
 
 def _scalar_update(x_pred: np.ndarray, P_pred: np.ndarray, R: float, z: float):
-    """Shared measurement update for the observation z = x[0] + noise.
-
-    Returns (posterior belief, predicted observation).  Raises on a
-    non-positive innovation variance.
-    """
+    """Shared measurement update for the observation z = x[0] + noise; returns
+    (posterior belief, predicted observation).  Raises if S = P[0, 0] + R <= 0."""
     hP = P_pred[:, 0]
     s = float(P_pred[0, 0]) + R
     if not s > 0:
@@ -139,7 +139,7 @@ def _scalar_update(x_pred: np.ndarray, P_pred: np.ndarray, R: float, z: float):
     z_hat = float(x_pred[0])
     K = hP / s
     mean = x_pred + K * (z - z_hat)
-    return GaussianBelief(mean, P_pred - np.outer(K, hP)), z_hat
+    return GaussianBelief(mean, P_pred - K[:, None] * hP), z_hat
 
 
 def lke_step(F: np.ndarray, noise: NoiseSpec, belief: GaussianBelief, z: float):
@@ -154,27 +154,36 @@ def lke_step(F: np.ndarray, noise: NoiseSpec, belief: GaussianBelief, z: float):
     return posterior, z - z_hat
 
 
-def eke_step(model, noise: NoiseSpec, belief: GaussianBelief, z: float):
-    """Extended Kalman step: nonlinear mean propagation, Jacobian covariance.
-
-    Returns (posterior, predicted observation).  The mean goes through the
-    batched transition as a one-row batch.
-    """
-    F = np.asarray(model.transition_jacobian(belief.mean), dtype=float)
-    x_pred = model.transition_batch(belief.mean[None])[0]
-    P_pred = _symmetrized(F @ belief.cov @ F.T + noise.Q)
-    if not np.all(np.isfinite(x_pred)) or not np.all(np.isfinite(P_pred)):
+def _partially_linear_step(model, noise: NoiseSpec, belief: GaussianBelief,
+                           z: float, lead: float, cross: np.ndarray, var: float):
+    """Predict x' = A x + e_0 f(x) from E f, cov(x, f) and var f, then update:
+    A P A^T + Q with row and column 0 written from A cov(x, f) and var f."""
+    x_pred = model.linear_part(belief.mean)
+    x_pred[0] = lead
+    P_pred = model.linear_part(model.linear_part(belief.cov).T)
+    P_pred[0] = P_pred[:, 0] = model.linear_part(cross)
+    P_pred[0, 0] = var
+    P_pred += noise.Q
+    if not (np.isfinite(x_pred).all() and np.isfinite(P_pred).all()):
         raise CovarianceDegeneracyError("non-finite values in prediction")
     return _scalar_update(x_pred, P_pred, noise.R, z)
+
+
+def eke_step(model, noise: NoiseSpec, belief: GaussianBelief, z: float):
+    """Extended Kalman step, cov(x, f) ~ P g and var f ~ g.P g with g the
+    gradient of f at the mean; returns (posterior, predicted observation)."""
+    g = model.lead_gradient(belief.mean)
+    Pg = belief.cov @ g
+    return _partially_linear_step(model, noise, belief, z,
+                                  model.lead_batch(belief.mean[None])[0], Pg, g @ Pg)
 
 
 def uke_step(model, noise: NoiseSpec, belief: GaussianBelief, z: float,
              params: UkeParams = UkeParams()):
     """Unscented Kalman step; returns (posterior, predicted observation).
 
-    Sigma points carry the posterior through the transition; the observation
-    is the unit selector on coordinate 0, whose moments the propagated mean
-    and covariance give exactly, so the shared scalar update finishes the step.
+    Only f sees the sigma points.  The 2n spread points share one weight w,
+    so cov(x, f) = w L (f+ - f-) over their plus and minus halves.
 
     The predicted mean is the unscented expectation, not f(mean).  On the
     bilinear weighted-sum row f = w.x_in it is exact to second order,
@@ -183,13 +192,12 @@ def uke_step(model, noise: NoiseSpec, belief: GaussianBelief, z: float,
     w.x_in and drops the trace.
     """
     sig = uke_sigma_points(belief, params)
-    propagated = model.transition_batch(sig.points)
-    x_pred = sig.mean_weights @ propagated
-    D = propagated - x_pred
-    P_pred = _symmetrized((D.T * sig.cov_weights) @ D + noise.Q)
-    if not np.all(np.isfinite(P_pred)):
-        raise CovarianceDegeneracyError("non-finite propagated covariance")
-    return _scalar_update(x_pred, P_pred, noise.R, z)
+    n = belief.mean.size
+    f = model.lead_batch(sig.points)
+    lead = sig.mean_weights @ f
+    cross = sig.factor @ (f[1:n + 1] - f[n + 1:]) * sig.cov_weights[1]
+    return _partially_linear_step(model, noise, belief, z, lead, cross,
+                                  sig.cov_weights @ (f - lead) ** 2)
 
 
 @dataclass

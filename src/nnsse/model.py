@@ -11,12 +11,15 @@ State layout for horizon ``a``, input width ``b`` and weight count ``c``
 * indices ``0 .. a+b-2``: positions, newest first,
 * indices ``a+b-1 .. n-1``: weights, layer by layer, each layer's matrix
   flattened row-major (row = destination neuron).  There are no bias terms.
-"""
+
+The one-step map is x' = A x + e_0 f(x), f the network output; the fixed A
+has row 0 zero, shifts the positions down by one and keeps the weights."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -76,29 +79,29 @@ class Topology:
     def input_width(self) -> int:
         return self.layer_widths[0]
 
-    @property
+    @cached_property
     def weight_count(self) -> int:
         return weight_count(self)
 
-    @property
+    @cached_property
     def position_count(self) -> int:
         """Length of the position block: horizon + input width - 1."""
         return self.horizon_a + self.input_width - 1
 
-    @property
+    @cached_property
     def state_dim(self) -> int:
         return self.position_count + self.weight_count
 
-    @property
+    @cached_property
     def position_slice(self) -> slice:
         return slice(0, self.position_count)
 
-    @property
+    @cached_property
     def network_input_slice(self) -> slice:
         """Positions fed to the transition network: offsets a-1 .. a+b-2."""
         return slice(self.horizon_a - 1, self.position_count)
 
-    @property
+    @cached_property
     def weight_slice(self) -> slice:
         return slice(self.position_count, self.state_dim)
 
@@ -171,22 +174,30 @@ def forward_batch(topology: Topology, inputs: np.ndarray,
     return _layer_outputs(topology, inputs, weights)[1][-1][:, 0]
 
 
-def transition_batch(topology: Topology, states: np.ndarray) -> np.ndarray:
-    """One-step map of each row: push the network output onto the shifted
-    position block.
+def lead_batch(topology: Topology, states: np.ndarray) -> np.ndarray:
+    """Network output f, row 0 of the one-step map, at each row of states."""
+    return forward_batch(topology, states[:, topology.network_input_slice],
+                         states[:, topology.weight_slice])
 
-    Weights are copied unchanged; the map is deterministic (process noise is
-    applied by the estimators, not here).
-    """
+
+def linear_part(topology: Topology, X: np.ndarray) -> np.ndarray:
+    """X A^T by index copies along the last axis, for the fixed linear part A
+    of the one-step map; ``linear_part(linear_part(P).T)`` is A P A^T."""
+    pos_end = topology.position_count
+    out = X.copy()
+    out[..., 1:pos_end] = X[..., :pos_end - 1]
+    out[..., 0] = 0.0
+    return out
+
+
+def transition_batch(topology: Topology, states: np.ndarray) -> np.ndarray:
+    """One-step map of each row: the network output pushed onto the shifted
+    positions, weights unchanged.  Process noise is the estimators' part."""
     states = np.asarray(states, dtype=float)
     if states.ndim != 2 or states.shape[1] != topology.state_dim:
         raise ValueError("states must be (m, n) for this topology")
-    out = states.copy()
-    lead = forward_batch(topology, states[:, topology.network_input_slice],
-                         states[:, topology.weight_slice])
-    pos_end = topology.position_count
-    out[:, 1:pos_end] = states[:, 0:pos_end - 1]
-    out[:, 0] = lead
+    out = linear_part(topology, states)
+    out[:, 0] = lead_batch(topology, states)
     return out
 
 
@@ -198,13 +209,9 @@ def predict_ahead_batch(topology: Topology, states: np.ndarray) -> np.ndarray:
                          states[:, topology.weight_slice])
 
 
-def transition_jacobian(topology: Topology, state) -> np.ndarray:
-    """Jacobian of the one-step map at a single state.
-
-    Row 0 carries the network gradients, by backprop through the one-row
-    forward pass, in the network-input and weight columns; the remaining
-    position rows encode the shift; weight rows are identity.
-    """
+def lead_gradient(topology: Topology, state) -> np.ndarray:
+    """Gradient (n,) of the network output f at one state, by backprop
+    through the one-row forward pass; unread positions stay zero."""
     state = np.asarray(state, dtype=float)
     if state.shape != (topology.state_dim,):
         raise ValueError("state does not match topology dimension")
@@ -219,13 +226,17 @@ def transition_jacobian(topology: Topology, state) -> np.ndarray:
         if k > 0 and tanh:
             # hs[k] is the activated hidden output, so tanh' = 1 - hs[k]^2
             delta = delta * (1.0 - hs[k][0] ** 2)
-    n = topology.state_dim
-    pos_end = topology.position_count
-    J = np.zeros((n, n))
-    J[0, topology.network_input_slice] = delta
-    J[0, topology.weight_slice] = np.concatenate(grad_w)
-    J[1:pos_end, :pos_end - 1] = np.eye(pos_end - 1)
-    J[pos_end:, pos_end:] = np.eye(n - pos_end)
+    grad = np.zeros(topology.state_dim)
+    grad[topology.network_input_slice] = delta
+    grad[topology.weight_slice] = np.concatenate(grad_w)
+    return grad
+
+
+def transition_jacobian(topology: Topology, state) -> np.ndarray:
+    """Dense Jacobian of the one-step map at one state: A with row 0 set to
+    `lead_gradient`.  No estimator forms it."""
+    J = linear_part(topology, np.eye(topology.state_dim)).T
+    J[0] = lead_gradient(topology, state)
     return J
 
 
@@ -238,5 +249,11 @@ class NetworkStateSpace:
     def transition_batch(self, X: np.ndarray) -> np.ndarray:
         return transition_batch(self.topology, X)
 
-    def transition_jacobian(self, x: np.ndarray) -> np.ndarray:
-        return transition_jacobian(self.topology, x)
+    def lead_batch(self, X: np.ndarray) -> np.ndarray:
+        return lead_batch(self.topology, X)
+
+    def lead_gradient(self, x: np.ndarray) -> np.ndarray:
+        return lead_gradient(self.topology, x)
+
+    def linear_part(self, X: np.ndarray) -> np.ndarray:
+        return linear_part(self.topology, X)

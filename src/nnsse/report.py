@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import RunReport
-from .signals import save_run
+from .signals import save_trajectory
 
 SCALE_THRESHOLD = 1e4
 SCALE_LABEL = "×10⁴"  # x10^4
@@ -63,12 +63,8 @@ def _window_labels(data: dict) -> list[str]:
 
 
 def _max_error(data: dict) -> float:
-    worst = 0.0
-    for entry in data["results"]:
-        for res in entry["estimators"].values():
-            for v in res["windows"].values():
-                worst = max(worst, abs(v))
-    return worst
+    return max((abs(v) for entry in data["results"] for res in entry["estimators"].values()
+                for v in res["windows"].values()), default=0.0)
 
 
 def _render_block(title: str, order: list[str], rows: dict[str, dict],
@@ -179,7 +175,7 @@ def emit_report(report: RunReport, fmt: str, out_dir) -> list[Path]:
 
     for run in report.seed_runs:
         csv_path = out / f"run_seed{run.seed}.csv"
-        save_run(csv_path, run)
+        save_trajectory(csv_path, run.trajectory, run.csv_columns())
         written.append(csv_path)
 
     summary_path = out / "summary.csv"

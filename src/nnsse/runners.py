@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -53,10 +53,10 @@ def estimator_rng(run_seed: int, name: str) -> np.random.Generator:
 class Runner:
     """Base runner: feed measurements, collect horizon-step forecasts."""
 
-    def __init__(self, name: str, horizon: int):
+    def __init__(self, name: str, horizon: int, warmup_hint: int = 1):
         self.name = name
         self.horizon = int(horizon)
-        self.warmup_hint = 1
+        self.warmup_hint = warmup_hint
 
     def step(self, z: float) -> float:
         raise NotImplementedError
@@ -77,13 +77,12 @@ class GaussianRunner(Runner):
 
     def __init__(self, name, horizon, step_fn, P0, predict_fn, init_mean_fn,
                  warmup_hint):
-        super().__init__(name, horizon)
+        super().__init__(name, horizon, warmup_hint)
         self.step_fn = step_fn
         self.P0 = P0
         self.predict_fn = predict_fn
         self.init_mean_fn = init_mean_fn
         self.belief: GaussianBelief | None = None
-        self.warmup_hint = warmup_hint
 
     def step(self, z: float) -> float:
         if self.belief is None:
@@ -99,7 +98,7 @@ class GaussianRunner(Runner):
 class PeRunner(Runner):
     def __init__(self, name, horizon, model, noise: NoiseSpec, n_particles,
                  predict_batch_fn, init_mean_fn, rng, warmup_hint):
-        super().__init__(name, horizon)
+        super().__init__(name, horizon, warmup_hint)
         self.model = model
         self.noise = noise
         self.n_particles = int(n_particles)
@@ -107,7 +106,6 @@ class PeRunner(Runner):
         self.init_mean_fn = init_mean_fn
         self.rng = rng
         self.particles: ParticleSet | None = None
-        self.warmup_hint = warmup_hint
 
     def step(self, z: float) -> float:
         if self.particles is None:
@@ -130,11 +128,10 @@ class OpenLoopStackRunner(Runner):
     """
 
     def __init__(self, name, horizon, stack: StackModel):
-        super().__init__(name, horizon)
+        super().__init__(name, horizon, stack.k)
         self.stack = stack
         self.window = np.zeros(stack.k)
         self.seen = 0
-        self.warmup_hint = stack.k
 
     def step(self, z: float) -> float:
         z = float(z)
@@ -160,14 +157,13 @@ class E4ptrwRunner(Runner):
     """
 
     def __init__(self, name, horizon, window_len=E4PTRW_WINDOW):
-        super().__init__(name, horizon)
+        super().__init__(name, horizon, 5)
         self.window_len = int(window_len)
         self.recent = np.zeros(4)
         self.inputs = np.zeros((self.window_len, 4))
         self.targets = np.zeros(self.window_len)
         self.seen = 0
         self.stack = stack_transition(StackKind.E4PTRW)
-        self.warmup_hint = 5
 
     def step(self, z: float) -> float:
         z = float(z)
@@ -191,15 +187,14 @@ class E4ptrwRunner(Runner):
 # construction from parameter dictionaries
 
 
+@dataclass(frozen=True)
 class RunContext:
     """Trajectory-level facts shared by all runners of one run."""
 
-    def __init__(self, horizon: int, sample_period: float, seed: int,
-                 sine_omega: float | None = None):
-        self.horizon = int(horizon)
-        self.sample_period = float(sample_period)
-        self.seed = int(seed)
-        self.sine_omega = sine_omega
+    horizon: int
+    sample_period: float
+    seed: int
+    sine_omega: float | None = None
 
 
 def _uam_noise(m: UamModel, q: float, r: float, p0: float) -> NoiseSpec:
@@ -216,19 +211,14 @@ def _uam_runner(name, kind, p, ctx: RunContext) -> Runner:
     a = ctx.horizon
     m = UamModel(p["order"], ctx.sample_period)
     noise = _uam_noise(m, p["q"], p["r"], p["p0"])
-
-    def init(z, k=m.order):
-        mean = np.zeros(k)
-        mean[0] = z
-        return mean
-
     if kind == "uam_lke":
         step_fn = partial(lke_step, m.F, noise)
     else:
         step_fn = partial(uke_step, _LinearAdapter(m.F), noise,
                           params=UkeParams(p["alpha"], p["beta"], p["kappa"]))
     return GaussianRunner(name, a, step_fn, noise.Pi0,
-                          lambda mean: multi_step_predict(m, mean, a), init, m.order)
+                          lambda mean: multi_step_predict(m, mean, a),
+                          lambda z: np.concatenate([[z], np.zeros(m.order - 1)]), m.order)
 
 
 def _sine_runner(name, kind, p, ctx: RunContext) -> Runner:
@@ -247,14 +237,17 @@ def _parse_network(p, horizon) -> Topology:
     act = {"identity": Activation.IDENTITY, "tanh": Activation.TANH}.get(activation)
     if act is None:
         raise ConfigError(f"unknown activation {activation!r}")
+    width = p["input_width"]
     if net in ("weighted_sum", "ws"):
         if act is not Activation.IDENTITY:
             raise ConfigError("weighted_sum network has no hidden activation")
-        return Topology.weighted_sum(p["input_width"], horizon_a=horizon)
+        return Topology.weighted_sum(25 if width is None else width, horizon_a=horizon)
     try:
         widths = [int(w) for w in net.replace("x", "-").split("-")]
     except ValueError:
         raise ConfigError(f"cannot parse network spec {net!r}") from None
+    if width is not None and width != widths[0]:
+        raise ConfigError(f"input_width {width} is not the first width of {net!r}")
     return Topology.mlp(widths, act, horizon_a=horizon)
 
 
@@ -342,7 +335,7 @@ _UKE_KEYS = {f.name: f.default for f in fields(UkeParams)}
 _NNSSE_KEYS = {
     "network": "weighted_sum",  # weighted_sum | ws | layer widths such as 5-5-1
     "activation": "identity",   # identity | tanh, on hidden layers only
-    "input_width": 25,          # weighted sum only; an MLP reads its first width
+    "input_width": int,         # unset: 25 for a weighted sum, an MLP's first width
     "q_pos": 1e-4,
     "q_w": 1e-6,
     "p0_pos": 1.0,
@@ -356,12 +349,13 @@ _STACK_LKE_KEYS = {"q": 1e-4, "r": 1.0, "p0": 1.0}
 # The one table of estimator kinds: kind -> (builder, accepted keys with their
 # shipped defaults).  Every key is overridable per estimator section and any
 # other key is rejected.  A configured value is converted to the type of its
-# default; a None default takes a float.
+# default.  A type in place of a default marks a key that is None when unset
+# and converted to that type when set.
 ESTIMATOR_KINDS = {
     "uam_lke": (_uam_runner, _UAM_KEYS),
     "uam_uke": (_uam_runner, {**_UAM_KEYS, **_UKE_KEYS}),
-    # omega None: the sine trajectory's own frequency, else 1.0
-    "sine_lke": (_sine_runner, {"omega": None, "q": 1e-6, "r": 1.0, "p0": 100.0}),
+    # omega unset: the sine trajectory's own frequency, else 1.0
+    "sine_lke": (_sine_runner, {"omega": float, "q": 1e-6, "r": 1.0, "p0": 100.0}),
     "nnsse_uke": (_nnsse_runner, {**_NNSSE_KEYS, **_UKE_KEYS}),
     "nnsse_eke": (_nnsse_runner, _NNSSE_KEYS),
     # The particle cloud needs a tighter initial weight spread (explosive
@@ -385,18 +379,23 @@ def build_runner(name: str, kind: str, params: dict, ctx: RunContext) -> Runner:
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ConfigError(f"estimator {name!r}: unknown parameter(s) {unknown}")
-    values = dict(defaults)
+    values = {key: None if isinstance(d, type) else d for key, d in defaults.items()}
     for key, value in params.items():
         default = defaults[key]
-        values[key] = float(value) if default is None else type(default)(value)
+        values[key] = (default if isinstance(default, type) else type(default))(value)
     return build(name, kind, values, ctx)
 
 
 class _LinearAdapter:
-    """Wrap a fixed matrix as the batched transition protocol."""
+    """A fixed F in the unscented map protocol: lead row F[0], A = F, row 0 zeroed."""
 
     def __init__(self, F):
-        self.F = np.asarray(F, dtype=float)
+        self.lead_row = np.asarray(F, dtype=float)[0]
+        self.A = np.array(F, dtype=float)
+        self.A[0] = 0.0
 
-    def transition_batch(self, X):
-        return X @ self.F.T
+    def lead_batch(self, X):
+        return X @ self.lead_row
+
+    def linear_part(self, X):
+        return X @ self.A.T

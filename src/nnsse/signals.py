@@ -51,10 +51,6 @@ class Trajectory:
         return int(self.measurement.size)
 
     @property
-    def times(self) -> np.ndarray:
-        return np.arange(len(self)) * self.sample_period
-
-    @property
     def reference(self) -> np.ndarray:
         """Error reference: truth when present, else the measurement itself."""
         return self.measurement if self.truth is None else self.truth
@@ -128,15 +124,6 @@ def save_trajectory(path, trajectory: Trajectory,
                 v = series[i]
                 row.append("" if v is None or not np.isfinite(v) else _fmt(v))
             fh.write(",".join(row) + "\n")
-
-
-def save_run(path, run) -> None:
-    """Write one benchmark run: trajectory plus its pred/err columns.
-
-    ``run`` must expose ``trajectory`` and ``csv_columns()`` (an ordered
-    mapping of column name to series).
-    """
-    save_trajectory(path, run.trajectory, run.csv_columns())
 
 
 def load_trajectory(path) -> Trajectory:

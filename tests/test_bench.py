@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from nnsse.bench import (
     run_experiment,
     run_single_seed,
 )
+from nnsse.cli import EXIT_CONFIG, main
 from nnsse.model import Topology
 from nnsse.runners import ConfigError, RunContext, build_runner
 from nnsse.signals import Trajectory, save_trajectory
@@ -223,6 +228,63 @@ def test_parallel_seed_execution_matches_sequential():
         for name in ("E4P", "E4PTRW"):
             np.testing.assert_array_equal(rs.results[name].predictions,
                                           rp.results[name].predictions)
+
+
+def test_worker_pool_is_capped_at_the_seed_count(monkeypatch):
+    requested = []
+
+    class RecordingExecutor:
+        """Stand-in pool: records its worker count and maps in this process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("nnsse.bench.ProcessPoolExecutor", RecordingExecutor)
+    spec = [EstimatorSpec("E2P", "stack", {"stack": "E2P"})]
+    two = sine_config(spec, steps=200, windows=((0, 200),), seeds=(1, 2))
+    assert [r.seed for r in run_experiment(two, parallel=8).seed_runs] == [1, 2]
+    run_experiment(sine_config(spec, steps=200, windows=((0, 200),)), parallel=8)
+    assert requested == [2]
+
+
+@pytest.mark.parametrize("parallel", [0, -2])
+def test_parallel_below_one_is_a_config_error(parallel, tmp_path):
+    spec = [EstimatorSpec("E2P", "stack", {"stack": "E2P"})]
+    with pytest.raises(ConfigError, match="parallel"):
+        run_experiment(sine_config(spec, steps=200), parallel=parallel)
+    path = tmp_path / "run.ini"
+    path.write_text("[trajectory]\nsteps = 200\n[run]\nseeds = 1 2\n"
+                    "[estimator:E2P]\nkind = stack\nstack = E2P\n", encoding="utf-8")
+    argv = ["run", "--config", str(path), "--out-dir", str(tmp_path / "out"),
+            "--parallel", str(parallel)]
+    assert main(argv) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+def test_duplicate_seeds_rejected():
+    spec = [EstimatorSpec("A", "uam_lke", {})]
+    with pytest.raises(ConfigError, match="unique"):
+        sine_config(spec, seeds=(1, 1))
+    with pytest.raises(ConfigError, match="unique"):
+        sine_config(spec, seeds=(3, 1, 3))
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-m", "nnsse", "run", "--help"],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "--parallel" in proc.stdout
 
 
 def test_non_finite_forecast_is_a_recorded_failure(tmp_path):

@@ -20,21 +20,37 @@ from nnsse.estimators import (
     uke_sigma_points,
     uke_step,
 )
-from nnsse.model import NoiseSpec, Topology, NetworkStateSpace
+from nnsse.model import (
+    Activation,
+    NetworkStateSpace,
+    NoiseSpec,
+    Topology,
+    transition_batch,
+    transition_jacobian,
+)
 from nnsse.runners import RunContext, build_runner
 
 
 class LinearModel:
-    """Transition x -> F x with the unit-selector observation, for testing."""
+    """Transition x -> F x with the unit-selector observation, for testing:
+    lead row F[0], linear part F with row 0 zeroed."""
 
     def __init__(self, F):
         self.F = np.asarray(F, dtype=float)
+        self.A = self.F.copy()
+        self.A[0] = 0.0
 
     def transition_batch(self, X):
         return X @ self.F.T
 
-    def transition_jacobian(self, x):
-        return self.F
+    def lead_batch(self, X):
+        return X @ self.F[0]
+
+    def lead_gradient(self, x):
+        return self.F[0].copy()
+
+    def linear_part(self, X):
+        return X @ self.A.T
 
 
 def uam3_F(T=0.005):
@@ -279,6 +295,86 @@ def test_uke_default_params_stay_stable_on_constant_series():
     for _ in range(200):
         belief, _ = uke_step(model, noise, belief, 5.0)
     assert np.all(np.isfinite(belief.mean))
+
+
+# ---------------------------------------------------------------------------
+# partially linear time update against the dense forms
+
+
+def random_belief(rng, n):
+    G = rng.standard_normal((n, n)) / np.sqrt(n)
+    return GaussianBelief(rng.standard_normal(n), G @ G.T + 0.1 * np.eye(n))
+
+
+def oracle_models():
+    """(label, model, state dimension, full transition of an (m, n) batch,
+    dense Jacobian or None) for the weighted sum, two MLPs and the kinematic
+    adapter."""
+    out = []
+    for label, top in (("ws25", Topology.weighted_sum(25, horizon_a=3)),
+                       ("5-5-1-tanh", Topology.mlp([5, 5, 1], Activation.TANH, 3)),
+                       ("5-5-5-1", Topology.mlp([5, 5, 5, 1], horizon_a=3))):
+        out.append((label, NetworkStateSpace(top), top.state_dim,
+                    lambda X, top=top: transition_batch(top, X),
+                    lambda x, top=top: transition_jacobian(top, x)))
+    uam = build_runner("UAM-UKE", "uam_uke", {}, RunContext(3, 0.005, 1))
+    F = uam3_F()
+    out.append(("uam3", uam.step_fn.args[0], 3, lambda X: X @ F.T, None))
+    return out
+
+
+def predicted_moments(step, model, belief, *args):
+    """Prior moments of one step: with R = 1e18 the update moves them by
+    less than 1e-17 of their scale."""
+    n = belief.mean.size
+    noise = NoiseSpec(1e-3 * np.eye(n), 1e18, np.eye(n))
+    posterior, _ = step(model, noise, belief, 0.0, *args)
+    return posterior.mean, posterior.cov, noise.Q
+
+
+@pytest.mark.parametrize("params", [UkeParams(), UkeParams(1.0, 2.0, 0.0)])
+def test_uke_time_update_matches_dense_sigma_point_covariance(params):
+    rng = np.random.default_rng(2006)
+    for label, model, n, transition, _ in oracle_models():
+        for _ in range(3):
+            belief = random_belief(rng, n)
+            mean, cov, Q = predicted_moments(uke_step, model, belief, params)
+            sig = uke_sigma_points(belief, params)
+            propagated = transition(sig.points)
+            x_pred = sig.mean_weights @ propagated
+            D = propagated - x_pred
+            P_pred = (D.T * sig.cov_weights) @ D + Q
+            np.testing.assert_allclose(mean, x_pred, rtol=1e-12, atol=1e-12,
+                                       err_msg=label)
+            np.testing.assert_allclose(cov, P_pred, rtol=0,
+                                       atol=1e-12 * np.abs(P_pred).max(), err_msg=label)
+
+
+def test_eke_time_update_matches_dense_jacobian_product():
+    rng = np.random.default_rng(2003)
+    for label, model, n, transition, jacobian in oracle_models():
+        if jacobian is None:
+            continue
+        for _ in range(3):
+            belief = random_belief(rng, n)
+            mean, cov, Q = predicted_moments(eke_step, model, belief)
+            F = jacobian(belief.mean)
+            x_pred = transition(belief.mean[None])[0]
+            P_pred = F @ belief.cov @ F.T + Q
+            np.testing.assert_allclose(mean, x_pred, rtol=1e-12, atol=1e-12,
+                                       err_msg=label)
+            np.testing.assert_allclose(cov, P_pred, rtol=0,
+                                       atol=1e-12 * np.abs(P_pred).max(), err_msg=label)
+
+
+@pytest.mark.parametrize("step", [uke_step, eke_step])
+def test_non_finite_prediction_raises(step):
+    top = Topology.weighted_sum(3, horizon_a=2)
+    n = top.state_dim
+    belief = GaussianBelief(np.full(n, 1e200), np.eye(n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(CovarianceDegeneracyError, match="non-finite"):
+            step(NetworkStateSpace(top), NoiseSpec(np.eye(n), 1.0, np.eye(n)), belief, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,9 @@ from nnsse.model import (
     Topology,
     TopologyKind,
     forward_batch,
+    lead_batch,
+    lead_gradient,
+    linear_part,
     predict_ahead_batch,
     transition_batch,
     transition_jacobian,
@@ -378,9 +381,41 @@ def test_forward_gradients_tanh_fd():
         assert g_w[j] == pytest.approx(fd, abs=1e-8)
 
 
+def test_lead_gradient_is_jacobian_row0_and_matches_finite_differences():
+    rng = np.random.default_rng(2025)
+    step = 1e-6
+    for top in random_topologies():
+        st = rng.uniform(-1.0, 1.0, top.state_dim)
+        g = lead_gradient(top, st)
+        np.testing.assert_array_equal(g, transition_jacobian(top, st)[0])
+        hi = st + step * np.eye(top.state_dim)
+        lo = st - step * np.eye(top.state_dim)
+        fd = (lead_batch(top, hi) - lead_batch(top, lo)) / (2 * step)
+        assert np.abs(g - fd).max() <= 1e-8
+
+
+def test_linear_part_is_the_jacobian_without_row0():
+    rng = np.random.default_rng(37)
+    for top in random_topologies():
+        A = transition_jacobian(top, rng.standard_normal(top.state_dim))
+        A[0] = 0.0
+        X = rng.standard_normal((4, top.state_dim))
+        np.testing.assert_array_equal(linear_part(top, X), X @ A.T)
+        P = X.T @ X
+        np.testing.assert_array_equal(linear_part(top, linear_part(top, P).T),
+                                      A @ P @ A.T)
+
+
+def test_derived_sizes_are_computed_once():
+    top = Topology.mlp([5, 5, 1], horizon_a=3)
+    assert top.weight_slice is top.weight_slice
+    assert (top.position_count, top.weight_count, top.state_dim) == (7, 30, 37)
+    assert top == Topology.mlp([5, 5, 1], horizon_a=3)
+
+
 def test_network_state_space_adapter():
     top = Topology.weighted_sum(2, horizon_a=1)
     m = NetworkStateSpace(top)
     st = np.array([3.0, 2.0, 1.0, 0.0])
     np.testing.assert_allclose(m.transition_batch(st[None])[0], [3.0, 3.0, 1.0, 0.0])
-    np.testing.assert_allclose(m.transition_jacobian(st)[0], [1.0, 0.0, 3.0, 2.0])
+    np.testing.assert_allclose(m.lead_gradient(st), [1.0, 0.0, 3.0, 2.0])

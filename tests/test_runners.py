@@ -53,3 +53,13 @@ def test_shipped_config_sections_build(config):
         runner = build_runner(spec.name, spec.kind, spec.params,
                               RunContext(cfg.horizon, 0.005, cfg.seeds[0], 2.0 * np.pi))
         assert runner.name == spec.name
+
+
+def test_mlp_input_width_must_match_its_first_width():
+    with pytest.raises(ConfigError, match="input_width"):
+        build_runner("X", "nnsse_uke", {"network": "5-5-1", "input_width": "10"}, ctx())
+    for params in ({"network": "5-5-1"}, {"network": "5-5-1", "input_width": "5"}):
+        runner = build_runner("X", "nnsse_uke", params, ctx())
+        assert runner.step_fn.args[0].topology.input_width == 5
+    ws = build_runner("X", "nnsse_eke", {}, ctx())
+    assert ws.step_fn.args[0].topology.input_width == 25
