@@ -9,6 +9,16 @@ accumulation.  Estimator failures are isolated: the rest of the roster keeps
 running and the failure is recorded in the report.  A non-finite forecast
 counts as such a failure: it ends that estimator's run like an
 `EstimatorError` does.
+
+With ``audit``, every Gaussian estimator's covariance P is checked after each
+step (`CovarianceAudit`).  The run records the largest |P - Pᵀ| entry and the
+smallest eigenvalue of any P, and a P that is not finite is a failure like a
+non-finite forecast.  The recorded minimum is exactly what ``eigvalsh`` on
+every step would give, but ``eigvalsh`` runs only on the steps that may lower
+it: a Cholesky factorisation of P - (w + δ)I that succeeds proves that P has
+no eigenvalue at or below the running minimum w (Sylvester's law of inertia),
+and costs a fraction of ``eigvalsh`` once n reaches about 8.  The first step,
+a failed factorisation and P smaller than 8 x 8 fall back to ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -179,14 +189,53 @@ def resolve_warmup(config: ExperimentConfig, runners: list[Runner]) -> int:
     return max([config.horizon] + [r.warmup_hint for r in runners])
 
 
-def _audit_update(runner: Runner, worst: dict) -> None:
-    cov = runner.covariance()
-    if cov is None:
-        return
-    asym = float(np.abs(cov - cov.T).max())
-    min_eig = float(np.linalg.eigvalsh(cov).min())
-    worst["asym"] = max(worst["asym"], asym)
-    worst["eig"] = min(worst["eig"], min_eig)
+# Below this matrix dimension a Cholesky screen costs about as much as the
+# `eigvalsh` it would save (break-even near n = 8 with OpenBLAS, one thread).
+_SCREEN_MIN_DIM = 8
+# Safety factor on the screen's margin δ = c n(n+2) ε (|tr P| + |w|).  The
+# margin covers the backward error of the Cholesky factorisation and of
+# `eigvalsh` (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+# ch. 10); without it, near-tie minima at n = 52 were misreported.
+_SCREEN_MARGIN = 4.0
+_EPS = float(np.finfo(float).eps)
+
+
+@dataclass
+class CovarianceAudit:
+    """Worst covariance health over one estimator's run (see the module doc).
+
+    ``max_asymmetry`` is the largest |P - Pᵀ| entry and ``min_eigenvalue``
+    the smallest ``eigvalsh`` eigenvalue of any P passed to `update` (inf
+    before the first).  Both equal, bit for bit, what ``eigvalsh`` on every
+    step records.
+    """
+
+    max_asymmetry: float = 0.0
+    min_eigenvalue: float = math.inf
+
+    def update(self, cov: np.ndarray) -> bool:
+        """Fold in one covariance; False, recording nothing, if it is not finite."""
+        # Also the finiteness check, which must come first (a nan matrix
+        # factors without raising; `eigvalsh` returns nan, which `min`
+        # ignores, or raises).  Every entry enters a difference, and one that
+        # is not finite makes it inf or nan (inf - inf is nan).
+        asym = float(np.abs(cov - cov.T).max())
+        if not math.isfinite(asym):
+            return False
+        self.max_asymmetry = max(self.max_asymmetry, asym)
+        w = self.min_eigenvalue
+        n = cov.shape[0]
+        if n >= _SCREEN_MIN_DIM and w < math.inf:
+            shifted = cov.copy()
+            shifted.flat[::n + 1] -= w + _SCREEN_MARGIN * n * (n + 2) * _EPS * (
+                abs(float(cov.trace())) + abs(w))
+            try:
+                np.linalg.cholesky(shifted)
+                return True  # every eigenvalue exceeds w: eigvalsh cannot lower it
+            except np.linalg.LinAlgError:
+                pass
+        self.min_eigenvalue = min(w, float(np.linalg.eigvalsh(cov).min()))
+        return True
 
 
 def run_single_seed(config: ExperimentConfig, seed: int, audit: bool = False) -> SeedRun:
@@ -214,7 +263,7 @@ def run_single_seed(config: ExperimentConfig, seed: int, audit: bool = False) ->
     for runner in runners:
         preds = np.full(n, np.nan)
         failure = None
-        worst = {"asym": 0.0, "eig": np.inf}
+        health = CovarianceAudit()
         t0 = time.perf_counter()
         for i in range(n):
             try:
@@ -225,9 +274,12 @@ def run_single_seed(config: ExperimentConfig, seed: int, audit: bool = False) ->
             if not math.isfinite(forecast):
                 failure = f"step {i}: non-finite forecast"
                 break
-            preds[i] = forecast
             if audit:
-                _audit_update(runner, worst)
+                cov = runner.covariance()
+                if cov is not None and not health.update(cov):
+                    failure = f"step {i}: non-finite covariance"
+                    break
+            preds[i] = forecast
         seconds = time.perf_counter() - t0
 
         errors = np.full(n, np.nan)
@@ -247,8 +299,9 @@ def run_single_seed(config: ExperimentConfig, seed: int, audit: bool = False) ->
             window_errors=window_errors,
             seconds=seconds,
             failure=failure,
-            min_eigenvalue=(worst["eig"] if audit and np.isfinite(worst["eig"]) else None),
-            max_asymmetry=(worst["asym"] if audit else None),
+            min_eigenvalue=(health.min_eigenvalue
+                            if audit and math.isfinite(health.min_eigenvalue) else None),
+            max_asymmetry=(health.max_asymmetry if audit else None),
         )
     return SeedRun(seed, traj, [r.name for r in runners], a, warmup, results)
 

@@ -52,7 +52,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--parallel", type=int, default=1,
                      help="number of seed runs to execute concurrently")
     run.add_argument("--audit", action="store_true",
-                     help="track covariance symmetry/eigenvalue health per step")
+                     help="check every step's covariance P: report the largest "
+                          "|P - P^T| entry and the exact smallest eigenvalue of "
+                          "any P, and fail the estimator on a non-finite P; "
+                          "eigvalsh runs only on steps a Cholesky screen cannot "
+                          "rule out, and on every step below 8 x 8")
 
     rep = sub.add_parser("report", help="re-render a saved report")
     rep.add_argument("--report", type=Path, required=True,

@@ -382,7 +382,12 @@ def build_runner(name: str, kind: str, params: dict, ctx: RunContext) -> Runner:
     values = {key: None if isinstance(d, type) else d for key, d in defaults.items()}
     for key, value in params.items():
         default = defaults[key]
-        values[key] = (default if isinstance(default, type) else type(default))(value)
+        convert = default if isinstance(default, type) else type(default)
+        try:
+            values[key] = convert(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"estimator {name!r}: {key} = {value!r} is not "
+                              f"a valid {convert.__name__}") from None
     return build(name, kind, values, ctx)
 
 

@@ -15,6 +15,7 @@ written with 17 significant digits so values round-trip losslessly.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,10 +82,6 @@ def gen_sine(amplitude: float, period_s: float, rate_hz: float, steps: int,
     return Trajectory(1.0 / rate_hz, measurement, truth, meta)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _parse_cell(text: str, column: str, line_no: int) -> float:
     try:
         value = float(text)
@@ -101,7 +98,7 @@ def save_trajectory(path, trajectory: Trajectory,
                     extra_columns: dict[str, np.ndarray] | None = None) -> None:
     """Write the CSV schema; extra columns are appended after `measurement`.
 
-    Extra-column cells that are NaN are written empty.
+    Extra-column cells that are not finite (NaN, ±inf) are written empty.
     """
     extra = extra_columns or {}
     n = len(trajectory)
@@ -109,21 +106,19 @@ def save_trajectory(path, trajectory: Trajectory,
         if len(series) != n:
             raise ValueError(f"extra column {name!r} has wrong length")
     header = ["step", "t", "truth", "measurement", *extra.keys()]
+    T = float(trajectory.sample_period)
+    truth = trajectory.truth
+    columns = [
+        [str(i) for i in range(n)],
+        [format(i * T, ".17g") for i in range(n)],
+        [""] * n if truth is None else [format(v, ".17g") for v in truth.tolist()],
+        [format(v, ".17g") for v in trajectory.measurement.tolist()],
+        *([format(v, ".17g") if math.isfinite(v) else ""
+           for v in np.asarray(series, dtype=float).tolist()] for series in extra.values()),
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        T = trajectory.sample_period
-        truth = trajectory.truth
-        for i in range(n):
-            row = [
-                str(i),
-                _fmt(i * T),
-                _fmt(truth[i]) if truth is not None else "",
-                _fmt(trajectory.measurement[i]),
-            ]
-            for series in extra.values():
-                v = series[i]
-                row.append("" if v is None or not np.isfinite(v) else _fmt(v))
-            fh.write(",".join(row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def load_trajectory(path) -> Trajectory:

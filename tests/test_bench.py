@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from nnsse.baselines import (
     multi_step_predict,
 )
 from nnsse.bench import (
+    CovarianceAudit,
     EstimatorSpec,
     ExperimentConfig,
     Metric,
@@ -25,10 +27,10 @@ from nnsse.bench import (
     run_experiment,
     run_single_seed,
 )
-from nnsse.cli import EXIT_CONFIG, main
+from nnsse.cli import EXIT_CONFIG, EXIT_ESTIMATOR_FAILURE, main
 from nnsse.model import Topology
-from nnsse.runners import ConfigError, RunContext, build_runner
-from nnsse.signals import Trajectory, save_trajectory
+from nnsse.runners import ConfigError, RunContext, Runner, build_runner
+from nnsse.signals import Trajectory, gen_sine, save_trajectory
 
 
 def sine_config(estimators, steps=1500, windows=((0, 1500),), seeds=(1,),
@@ -360,6 +362,180 @@ def test_audit_collects_covariance_health():
     res = run.results["UAM-LKE"]
     assert res.max_asymmetry == 0.0
     assert res.min_eigenvalue is not None and res.min_eigenvalue >= -1e-9
+
+
+def _eigvalsh_every_step(covs):
+    """The audit without the Cholesky screen: `eigvalsh` on every covariance."""
+    asym, eig = 0.0, math.inf
+    for cov in covs:
+        asym = max(asym, float(np.abs(cov - cov.T).max()))
+        eig = min(eig, float(np.linalg.eigvalsh(cov).min()))
+    return asym, eig
+
+
+def _near_tie_covariances(n, rng, steps=12):
+    """Covariances whose smallest eigenvalue ties the running minimum w.
+
+    After the first, each step sets one eigenvalue to w (1 ± 10⁻¹⁶…10⁻⁶),
+    spreads the rest over six decades and, on some steps, makes one negative.
+    Some steps also get an upper triangle that neither LAPACK call reads.
+    """
+    covs, w = [], math.inf
+    for _ in range(steps):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = 10.0 ** rng.uniform(-3, 3, n)
+        if rng.random() < 0.15:
+            lam[-1] = -lam[-1]
+        if w < math.inf:
+            lam[0] = w * (1 + rng.choice((-1, 1)) * 10.0 ** -rng.uniform(6, 16))
+        cov = (q * lam) @ q.T
+        if rng.random() < 0.2:
+            cov[np.triu_indices(n, 1)] += rng.standard_normal(n * (n - 1) // 2)
+        covs.append(cov)
+        w = min(w, float(np.linalg.eigvalsh(cov).min()))
+    return covs
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 12, 52])
+def test_screened_audit_matches_eigvalsh_on_every_step_bitwise(n):
+    rng = np.random.default_rng(n)
+    sequences = [_near_tie_covariances(n, rng) for _ in range(30)]
+    sequences.append([np.zeros((n, n))] * 3)                    # w = 0, zero margin
+    sequences.append([-np.eye(n), np.eye(n), np.zeros((n, n))])  # negative w
+    for covs in sequences:
+        audit = CovarianceAudit()
+        for cov in covs:
+            assert audit.update(cov)
+        # repr round-trips every double and tells -0.0 from 0.0: a bitwise check.
+        got = (audit.max_asymmetry, audit.min_eigenvalue)
+        assert repr(got) == repr(_eigvalsh_every_step(covs))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 52])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_covariance_is_refused_and_not_recorded(n, bad):
+    audit = CovarianceAudit()
+    assert audit.update(2.0 * np.eye(n))
+    for cells in ([(n - 1, 0)], [(0, n - 1)], [(0, 0)], [(n - 1, 0), (0, n - 1)]):
+        cov = np.eye(n)
+        for cell in cells:
+            cov[cell] = bad
+        with np.errstate(invalid="ignore"):  # inf - inf in the asymmetry
+            assert not audit.update(cov), cells
+    assert not audit.update(np.full((n, n), np.nan))
+    assert (audit.max_asymmetry, audit.min_eigenvalue) == (0.0, 2.0)
+
+
+class _CovarianceTurnsNan(Runner):
+    """Persistence forecaster whose n x n covariance is nan from step 51 on."""
+
+    def __init__(self, name, horizon, n):
+        super().__init__(name, horizon)
+        self.n = n
+        self.steps = 0
+
+    def step(self, z):
+        self.steps += 1
+        return float(z)
+
+    def covariance(self):
+        if self.steps > 51:
+            return np.full((self.n, self.n), np.nan)
+        return np.eye(self.n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_non_finite_covariance_is_a_recorded_failure(n, monkeypatch, tmp_path):
+    real_build = build_runner
+
+    def build(name, kind, params, ctx):
+        if name == "STUB":
+            return _CovarianceTurnsNan(name, ctx.horizon, n)
+        return real_build(name, kind, params, ctx)
+
+    monkeypatch.setattr("nnsse.bench.build_runner", build)
+    good = EstimatorSpec("UAM-LKE", "uam_lke", {})
+    cfg = sine_config([EstimatorSpec("STUB", "uam_lke", {}), good], steps=300,
+                      windows=((0, 300),))
+    run = run_single_seed(cfg, 1, audit=True)
+    stub = run.results["STUB"]
+    assert stub.failure == "step 51: non-finite covariance"
+    assert stub.window_errors == {}
+    assert np.isnan(stub.predictions[51:]).all()
+    assert stub.min_eigenvalue == 1.0
+    solo = run_single_seed(sine_config([good], steps=300, windows=((0, 300),)), 1,
+                           audit=True).results["UAM-LKE"]
+    assert run.results["UAM-LKE"].failure is None
+    assert run.results["UAM-LKE"].window_errors == solo.window_errors
+
+    path = tmp_path / "run.ini"
+    path.write_text("[trajectory]\nsteps = 300\n[run]\nseeds = 1\n"
+                    "[estimator:STUB]\nkind = uam_lke\n"
+                    "[estimator:UAM-LKE]\nkind = uam_lke\n", encoding="utf-8")
+    argv = ["run", "--config", str(path), "--out-dir", str(tmp_path / "out"), "--audit"]
+    assert main(argv) == EXIT_ESTIMATOR_FAILURE
+    assert (tmp_path / "out" / "report.json").is_file()
+
+
+def _audit_oracle(config, seed):
+    """Name -> (min_eigenvalue, max_asymmetry), `eigvalsh` on every step."""
+    traj = config.make_trajectory(seed)
+    ctx = RunContext(config.horizon, traj.sample_period, seed,
+                     2.0 * np.pi / traj.meta["period_s"])
+    out = {}
+    for spec in config.estimators:
+        runner = build_runner(spec.name, spec.kind, spec.params, ctx)
+        covs = []
+        for z in traj.measurement:
+            runner.step(z)
+            if runner.covariance() is not None:
+                covs.append(runner.covariance())
+        asym, eig = _eigvalsh_every_step(covs)
+        out[spec.name] = (eig if math.isfinite(eig) else None, asym)
+    return out
+
+
+def test_audit_matches_eigvalsh_on_every_step_end_to_end():
+    specs = [EstimatorSpec("UAM-LKE", "uam_lke", {}),
+             EstimatorSpec("UAM-UKE", "uam_uke", {}),
+             EstimatorSpec("NNSSE-UKE", "nnsse_uke", {}),
+             EstimatorSpec("NNSSE-EKE", "nnsse_eke", {}),
+             EstimatorSpec("NNSSE-5-5-1", "nnsse_uke", {"network": "5-5-1"}),
+             EstimatorSpec("NNSSE-Tanh", "nnsse_uke",
+                           {"network": "5-5-1", "activation": "tanh"}),
+             EstimatorSpec("NNSSE-PE", "nnsse_pe", {"particles": 50})]
+    cfg = sine_config(specs, steps=400, windows=((0, 400),))
+    run = run_single_seed(cfg, 1, audit=True)
+    expected = _audit_oracle(cfg, 1)
+    for spec in specs:
+        res = run.results[spec.name]
+        assert res.failure is None, spec.name
+        got = (res.min_eigenvalue, res.max_asymmetry)
+        assert repr(got) == repr(expected[spec.name]), spec.name
+    assert run.results["NNSSE-PE"].min_eigenvalue is None
+
+
+def test_audit_runs_eigvalsh_on_few_steps_of_a_52_state_replay(monkeypatch, tmp_path):
+    sine = gen_sine(10.0, 1.0, 200.0, 600, 1.0, seed=10)
+    path = tmp_path / "recorded.csv"
+    save_trajectory(path, Trajectory(sine.sample_period, sine.measurement))
+    cfg = ExperimentConfig(
+        trajectory={"source": "file", "path": str(path)},
+        horizon=3,
+        estimators=[EstimatorSpec("NNSSE-UKE", "nnsse_uke", {})],
+        windows=[(0, 600)])
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    run = run_single_seed(cfg, 1, audit=True)
+    assert run.results["NNSSE-UKE"].failure is None
+    assert set(calls) == {(52, 52)}
+    assert 1 <= len(calls) <= 60
 
 
 def test_config_validation():

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nnsse.cli import EXIT_CONFIG, main
 from nnsse.config import load_config
 from nnsse.estimators import UkeParams
 from nnsse.model import Topology
@@ -63,3 +64,20 @@ def test_mlp_input_width_must_match_its_first_width():
         assert runner.step_fn.args[0].topology.input_width == 5
     ws = build_runner("X", "nnsse_eke", {}, ctx())
     assert ws.step_fn.args[0].topology.input_width == 25
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("uam_lke", "q", "abc"),
+    ("uam_lke", "order", "3.5"),
+    ("nnsse_pe", "particles", "many"),
+])
+def test_unconvertible_value_is_a_config_error(kind, key, value, tmp_path, capsys):
+    with pytest.raises(ConfigError) as err:
+        build_runner("X", kind, {key: value}, ctx())
+    assert str(err.value).startswith(f"estimator 'X': {key} = {value!r} is not")
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[trajectory]\nsteps = 200\n[run]\nseeds = 1\n"
+                    f"[estimator:X]\nkind = {kind}\n{key} = {value}\n", encoding="utf-8")
+    assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) \
+        == EXIT_CONFIG
+    assert "config error: estimator 'X'" in capsys.readouterr().err

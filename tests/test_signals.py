@@ -189,3 +189,46 @@ def test_save_17_digit_roundtrip(tmp_path):
     save_trajectory(path, traj)
     back = load_trajectory(path)
     np.testing.assert_array_equal(back.measurement, vals)
+
+
+def _per_cell_writer(path, trajectory, extra_columns):
+    """The row-by-row CSV writer that the column writer replaced."""
+    n = len(trajectory)
+    header = ["step", "t", "truth", "measurement", *extra_columns.keys()]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        T = trajectory.sample_period
+        truth = trajectory.truth
+        for i in range(n):
+            row = [
+                str(i),
+                format(float(i * T), ".17g"),
+                format(float(truth[i]), ".17g") if truth is not None else "",
+                format(float(trajectory.measurement[i]), ".17g"),
+            ]
+            for series in extra_columns.values():
+                v = series[i]
+                row.append("" if v is None or not np.isfinite(v)
+                           else format(float(v), ".17g"))
+            fh.write(",".join(row) + "\n")
+
+
+@pytest.mark.parametrize("with_truth", [True, False])
+def test_column_writer_matches_per_cell_writer_bytewise(tmp_path, with_truth):
+    rng = np.random.default_rng(5)
+    n = 400
+    meas = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    meas[:5] = [np.pi, 1 / 3, 1e-17, -2.5000000000000004, 0.1 + 0.2]
+    truth = meas * (1 + 1e-16) if with_truth else None
+    pred = rng.standard_normal(n)
+    pred[::7] = np.nan
+    pred[3], pred[5] = np.inf, -np.inf
+    extra = {"pred_A": pred, "err_A": pred - meas, "pred_B": np.full(n, 1 / 3)}
+    traj = Trajectory(1 / 200.0, meas, truth)
+    save_trajectory(tmp_path / "columns.csv", traj, extra)
+    _per_cell_writer(tmp_path / "cells.csv", traj, extra)
+    written = (tmp_path / "columns.csv").read_bytes()
+    assert written == (tmp_path / "cells.csv").read_bytes()
+    rows = written.decode("utf-8").splitlines()
+    assert rows[4].split(",")[4] == "" and rows[6].split(",")[4] == ""  # ±inf empty
+    assert rows[1].split(",")[3] == "3.1415926535897931"                # 17 digits
