@@ -31,6 +31,7 @@ from .estimators import (
     GaussianBelief,
     ParticleSet,
     SigmaSet,
+    SteadyStateLke,
     UkeParams,
     eke_step,
     lke_step,

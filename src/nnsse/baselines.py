@@ -121,11 +121,13 @@ def uam_predict_n(state, n: int, T: float) -> float:
     """Closed-form n-step position forecast: Taylor sum of the present state.
 
     Terms are included per the state length (position, velocity,
-    acceleration, jerk).
+    acceleration, jerk), and summed as x_j h^j / j! in the order j = 0, 1, ...
     """
-    state = np.asarray(state, dtype=float)
     h = n * T
-    return float(sum(state[j] * h ** j / math.factorial(j) for j in range(state.size)))
+    total = 0.0
+    for j, x in enumerate(np.asarray(state, dtype=float).tolist()):
+        total += x * h ** j / math.factorial(j)
+    return total
 
 
 @dataclass
@@ -146,8 +148,17 @@ class SineModel:
 
     def predict_n(self, state, n: int) -> float:
         """n-step forecast: rotation by n*omega*T applied to the state."""
+        return self.forecaster(n)(state)
+
+    def forecaster(self, n: int):
+        """`predict_n` bound to a horizon: cos and sin are computed once."""
         angle = n * self.omega * self.T
-        return float(np.cos(angle) * state[0] + np.sin(angle) * state[1])
+        c, s = float(np.cos(angle)), float(np.sin(angle))
+
+        def forecast(state) -> float:
+            return float(c * state[0] + s * state[1])
+
+        return forecast
 
 
 def multi_step_predict(model, state, n: int) -> float:

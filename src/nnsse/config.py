@@ -30,11 +30,12 @@ build time, not here.
 from __future__ import annotations
 
 import configparser
+import math
 
 from .bench import EstimatorSpec, ExperimentConfig, Metric
 from .runners import ConfigError
 
-_SINE_KEYS = {"amplitude", "period_s", "rate_hz", "steps", "noise_var"}
+_SINE_KEYS = ("amplitude", "period_s", "rate_hz", "steps", "noise_var")
 
 
 def _split_ints(text: str) -> list[int]:
@@ -63,8 +64,18 @@ def _trajectory_section(section) -> dict:
         spec = {"source": "sine"}
         for key in _SINE_KEYS:
             if key in section:
-                spec[key] = float(section[key])
-        spec["steps"] = int(float(spec.get("steps", 10_000)))
+                value = float(section[key])
+                in_range = value >= 0 if key == "noise_var" else value > 0
+                if not (in_range and math.isfinite(value)):
+                    least = "zero or more" if key == "noise_var" else "positive"
+                    raise ConfigError(f"[trajectory] {key} = {section[key]!r}: "
+                                      f"expected a finite value, {least}")
+                spec[key] = value
+        steps = spec.get("steps", 10_000)
+        if steps != int(steps):
+            raise ConfigError(f"[trajectory] steps = {section['steps']!r}: "
+                              f"expected a whole number")
+        spec["steps"] = int(steps)
         return spec
     if source == "file":
         if "path" not in section:

@@ -50,6 +50,14 @@ class GaussianBelief:
         if self.cov.shape != (n, n):
             raise ValueError("covariance shape does not match mean length")
 
+    @classmethod
+    def _presymmetrized(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianBelief":
+        """A belief over a float mean and an already symmetric float
+        covariance, taken as they are: no copy, no check."""
+        belief = object.__new__(cls)
+        belief.mean, belief.cov = mean, cov
+        return belief
+
 
 @dataclass(frozen=True)
 class UkeParams:
@@ -128,18 +136,33 @@ def uke_sigma_points(belief: GaussianBelief, params: UkeParams = UkeParams()) ->
     return SigmaSet(points, w_mean, w_cov, L)
 
 
-def _scalar_update(x_pred: np.ndarray, P_pred: np.ndarray, R: float, z: float):
-    """Shared measurement update for the observation z = x[0] + noise; returns
-    (posterior belief, predicted observation).  Raises if S = P[0, 0] + R <= 0."""
-    hP = P_pred[:, 0]
+def _gain(P_pred: np.ndarray, R: float) -> np.ndarray:
+    """Kalman gain P e_0 / S of the observation z = x[0] + noise.  Raises if
+    S = P[0, 0] + R <= 0."""
     s = float(P_pred[0, 0]) + R
     if not s > 0:
         raise CovarianceDegeneracyError(
             f"innovation variance must be positive (got {s})")
+    return P_pred[:, 0] / s
+
+
+def _mean_update(x_pred: np.ndarray, K: np.ndarray, z: float):
+    """Posterior mean x + K (z - x[0]) and the predicted observation x[0]."""
     z_hat = float(x_pred[0])
-    K = hP / s
-    mean = x_pred + K * (z - z_hat)
-    return GaussianBelief(mean, P_pred - K[:, None] * hP), z_hat
+    return x_pred + K * (z - z_hat), z_hat
+
+
+def _scalar_update(x_pred: np.ndarray, P_pred: np.ndarray, R: float, z: float):
+    """Shared measurement update for the observation z = x[0] + noise; returns
+    (posterior belief, predicted observation)."""
+    K = _gain(P_pred, R)
+    mean, z_hat = _mean_update(x_pred, K, z)
+    return GaussianBelief(mean, P_pred - K[:, None] * P_pred[:, 0]), z_hat
+
+
+def _lke_prior_cov(F: np.ndarray, noise: NoiseSpec, cov: np.ndarray) -> np.ndarray:
+    """Predicted covariance F P F^T + Q, symmetrized."""
+    return _symmetrized(F @ cov @ F.T + noise.Q)
 
 
 def lke_step(F: np.ndarray, noise: NoiseSpec, belief: GaussianBelief, z: float):
@@ -149,9 +172,48 @@ def lke_step(F: np.ndarray, noise: NoiseSpec, belief: GaussianBelief, z: float):
     if F.shape != (n, n) or noise.Q.shape != (n, n):
         raise ValueError("inconsistent dimensions in lke_step")
     x_pred = F @ belief.mean
-    P_pred = _symmetrized(F @ belief.cov @ F.T + noise.Q)
+    P_pred = _lke_prior_cov(F, noise, belief.cov)
     posterior, z_hat = _scalar_update(x_pred, P_pred, noise.R, z)
     return posterior, z - z_hat
+
+
+class SteadyStateLke:
+    """`lke_step` bound to (F, noise) that stops the covariance recursion at
+    its fixed point; called as ``step(belief, z) -> (posterior, innovation)``.
+
+    The covariance and gain recursion of a linear filter never reads the
+    data.  A call runs `lke_step` until a posterior covariance equals the
+    covariance it was computed from, bit for bit.  That covariance is then
+    kept, read-only, with the gain K of the step that repeated it: by
+    induction both are what every later step would compute.  A belief that
+    carries the kept covariance therefore steps as x = F m, m' = x + K (z -
+    x[0]), through the same `_mean_update` as `lke_step`, and its posterior
+    shares the kept covariance.  Any other belief goes through `lke_step`.
+    Posteriors and innovations stay bitwise those of plain `lke_step`.
+
+    Only exact equality freezes, never a tolerance.  A covariance that is
+    not finite never freezes, and a recursion that settles into a round-off
+    limit cycle never does either.  Whether and at which step the fixed
+    point is reached is a property of the BLAS build.
+    """
+
+    def __init__(self, F: np.ndarray, noise: NoiseSpec):
+        self.F = np.asarray(F, dtype=float)
+        self.noise = noise
+        self.cov: np.ndarray | None = None   # the fixed point, once reached
+        self.gain: np.ndarray | None = None  # K of the step that repeated it
+
+    def __call__(self, belief: GaussianBelief, z: float):
+        if belief.cov is not self.cov:
+            posterior, innovation = lke_step(self.F, self.noise, belief, z)
+            P = posterior.cov
+            if P.tobytes() == belief.cov.tobytes() and np.isfinite(P).all():
+                self.gain = _gain(_lke_prior_cov(self.F, self.noise, P), self.noise.R)
+                P.flags.writeable = False
+                self.cov = P
+            return posterior, innovation
+        mean, z_hat = _mean_update(self.F @ belief.mean, self.gain, z)
+        return GaussianBelief._presymmetrized(mean, self.cov), z - z_hat
 
 
 def _partially_linear_step(model, noise: NoiseSpec, belief: GaussianBelief,

@@ -31,9 +31,10 @@ from .baselines import (
 from .estimators import (
     GaussianBelief,
     ParticleSet,
+    SteadyStateLke,
     UkeParams,
     eke_step,
-    lke_step,
+    lke_step,  # noqa: F401  (traced and checked as nnsse.runners.lke_step by perfbench)
     pe_step,
     uke_step,
 )
@@ -68,11 +69,14 @@ class Runner:
 class GaussianRunner(Runner):
     """Kalman-family runner: one step function over a Gaussian belief.
 
-    ``step_fn(belief, z)`` is `lke_step`, `uke_step` or `eke_step` with its
-    model and noise already bound.  The forecast is the plug-in
-    ``predict_fn(posterior mean)``, not the unscented expectation of the
-    forecast map; `PeRunner` instead forecasts the weighted average of the
-    per-particle forecasts.
+    ``step_fn(belief, z)`` returns (posterior, innovation or predicted
+    observation).  The linear kinds pass a `SteadyStateLke`, which is
+    `lke_step` until the covariance recursion reaches its fixed point and a
+    constant-gain mean update after it; UKE and EKE pass `uke_step` or
+    `eke_step` with model and noise bound.  The forecast is the plug-in
+    ``predict_fn(posterior mean)``, with model and horizon bound at build
+    time, not the unscented expectation of the forecast map; `PeRunner`
+    instead forecasts the weighted average of the per-particle forecasts.
     """
 
     def __init__(self, name, horizon, step_fn, P0, predict_fn, init_mean_fn,
@@ -212,7 +216,7 @@ def _uam_runner(name, kind, p, ctx: RunContext) -> Runner:
     m = UamModel(p["order"], ctx.sample_period)
     noise = _uam_noise(m, p["q"], p["r"], p["p0"])
     if kind == "uam_lke":
-        step_fn = partial(lke_step, m.F, noise)
+        step_fn = SteadyStateLke(m.F, noise)
     else:
         step_fn = partial(uke_step, _LinearAdapter(m.F), noise,
                           params=UkeParams(p["alpha"], p["beta"], p["kappa"]))
@@ -226,8 +230,7 @@ def _sine_runner(name, kind, p, ctx: RunContext) -> Runner:
     omega = float(ctx.sine_omega or 1.0) if p["omega"] is None else p["omega"]
     m = SineModel(omega, ctx.sample_period)
     noise = NoiseSpec(p["q"] * np.eye(2), p["r"], p["p0"] * np.eye(2))
-    return GaussianRunner(name, a, partial(lke_step, m.F, noise), noise.Pi0,
-                          lambda mean: m.predict_n(mean, a),
+    return GaussianRunner(name, a, SteadyStateLke(m.F, noise), noise.Pi0, m.forecaster(a),
                           lambda z: np.array([z, 0.0]), 2)
 
 
@@ -309,7 +312,7 @@ def _stack_runner(name, kind, p, ctx: RunContext) -> Runner:
         raise ConfigError(f"unknown stack mode {mode!r}")
     k = stack.k
     noise = NoiseSpec(p["q"] * np.eye(k), p["r"], p["p0"] * np.eye(k))
-    return GaussianRunner(name, a, partial(lke_step, stack.F, noise), noise.Pi0,
+    return GaussianRunner(name, a, SteadyStateLke(stack.F, noise), noise.Pi0,
                           lambda mean: multi_step_predict(stack, mean, a),
                           lambda z: np.full(k, z), k)
 

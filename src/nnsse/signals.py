@@ -6,8 +6,9 @@ transform).  The (seed, parameters) pair therefore determines the series
 bitwise; golden values are pinned in the test suite.
 
 CSV schema: header ``step,t,truth,measurement`` (UTF-8, ``.`` decimal
-separator, LF line endings).  Truth cells may be empty, or the column may be
-absent entirely for recorded data.  Report files append ``pred_<name>`` /
+separator, LF line endings).  For recorded data the truth column is absent or
+every truth cell is empty; a column that is filled on some rows must be
+filled on all of them.  Report files append ``pred_<name>`` /
 ``err_<name>`` columns; unknown columns are ignored on load.  Floats are
 written with 17 significant digits so values round-trip losslessly.
 """
@@ -126,7 +127,9 @@ def load_trajectory(path) -> Trajectory:
 
     Raises `TrajectoryFormatError` (with a line number where applicable) on a
     missing required column, a non-numeric or non-finite cell, an
-    inconsistent row length, or a file with no data rows.
+    inconsistent row length, a file with no data rows, a time that does not
+    exceed the one before it, or an empty truth cell in a truth column that
+    has values on other rows.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -144,28 +147,36 @@ def load_trajectory(path) -> Trajectory:
         times: list[float] = []
         truth: list[float] = []
         meas: list[float] = []
-        any_truth = False
+        first_empty_truth = first_truth = None
         for line_no, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and row[0].strip() == ""):
                 continue
             if len(row) != len(header):
                 raise TrajectoryFormatError(
                     f"line {line_no}: expected {len(header)} cells, got {len(row)}")
-            times.append(_parse_cell(row[idx["t"]], "t", line_no))
+            t = _parse_cell(row[idx["t"]], "t", line_no)
+            if times and not t > times[-1]:
+                raise TrajectoryFormatError(
+                    f"line {line_no}: time column must be strictly increasing "
+                    f"({row[idx['t']]!r} after {times[-1]!r})")
+            times.append(t)
             meas.append(_parse_cell(row[idx["measurement"]], "measurement", line_no))
             if has_truth:
                 cell = row[idx["truth"]].strip()
                 if cell == "":
                     truth.append(np.nan)
+                    first_empty_truth = first_empty_truth or line_no
                 else:
                     truth.append(_parse_cell(cell, "truth", line_no))
-                    any_truth = True
+                    first_truth = first_truth or line_no
 
     if not meas:
         raise TrajectoryFormatError("empty trajectory: header only, no data rows")
+    if first_truth and first_empty_truth:
+        raise TrajectoryFormatError(
+            f"line {first_empty_truth}: empty truth cell, but line {first_truth} "
+            f"has truth; leave every truth cell empty for recorded data")
     period = times[1] - times[0] if len(times) > 1 else 1.0
-    if not period > 0:
-        raise TrajectoryFormatError("time column must be strictly increasing")
-    truth_arr = np.array(truth) if (has_truth and any_truth) else None
+    truth_arr = np.array(truth) if first_truth else None
     return Trajectory(period, np.array(meas), truth_arr,
                       {"source": "file", "path": str(path)})

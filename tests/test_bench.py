@@ -550,6 +550,41 @@ def test_config_validation():
         sine_config([EstimatorSpec("A", "uam_lke", {})], seeds=())
 
 
+@pytest.mark.parametrize("line, message", [
+    ("amplitude = -1", "amplitude = '-1': expected a finite value, positive"),
+    ("amplitude = inf", "amplitude = 'inf': expected a finite value, positive"),
+    ("period_s = 0", "period_s = '0': expected a finite value, positive"),
+    ("rate_hz = nan", "rate_hz = 'nan': expected a finite value, positive"),
+    ("noise_var = -1", "noise_var = '-1': expected a finite value, zero or more"),
+    ("steps = 400.7", "steps = '400.7': expected a whole number"),
+    ("steps = -400", "steps = '-400': expected a finite value, positive"),
+])
+def test_invalid_sine_trajectory_is_a_config_error(line, message, tmp_path, capsys):
+    from nnsse.config import load_config
+
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[trajectory]\n{line}\n[run]\nseeds = 1\n"
+                    f"[estimator:X]\nkind = uam_lke\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"[trajectory] {message}"
+    assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: [trajectory] {message}\n"
+
+
+def test_whole_float_steps_and_zero_noise_are_accepted(tmp_path):
+    from nnsse.config import load_config
+
+    path = tmp_path / "ok.ini"
+    path.write_text("[trajectory]\nsteps = 4e2\nnoise_var = 0\n[run]\nseeds = 1\n"
+                    "[estimator:X]\nkind = uam_lke\n", encoding="utf-8")
+    cfg = load_config(path)
+    assert cfg.trajectory["steps"] == 400 and isinstance(cfg.trajectory["steps"], int)
+    assert cfg.windows == [(0, 400)]
+    assert len(cfg.make_trajectory(1)) == 400
+
+
 def test_unknown_estimator_parameter_rejected():
     cfg = sine_config([EstimatorSpec("A", "uam_lke", {"qq": 1.0})])
     with pytest.raises(ConfigError, match="qq"):

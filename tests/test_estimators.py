@@ -11,6 +11,7 @@ from nnsse.estimators import (
     GaussianBelief,
     ParticleSet,
     SigmaSet,
+    SteadyStateLke,
     UkeParams,
     eke_step,
     lke_step,
@@ -192,6 +193,67 @@ def test_lke_dimension_check():
     belief = GaussianBelief(np.zeros(3), np.eye(3))
     with pytest.raises(ValueError):
         lke_step(np.eye(3), noise, belief, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# SteadyStateLke
+
+
+def _repeat_cov_stub(calls):
+    """Stand-in for `lke_step` whose posterior covariance repeats the prior
+    covariance bit for bit."""
+
+    def stub(F, noise, belief, z):
+        calls.append(z)
+        return GaussianBelief._presymmetrized(belief.mean + 1.0, belief.cov.copy()), 0.0
+
+    return stub
+
+
+@pytest.mark.parametrize("bad", [None, np.nan, np.inf])
+def test_steady_state_lke_freezes_only_a_finite_covariance(bad, monkeypatch):
+    import nnsse.estimators
+
+    calls = []
+    monkeypatch.setattr(nnsse.estimators, "lke_step", _repeat_cov_stub(calls))
+    cov = np.eye(2)
+    if bad is not None:
+        cov[1, 1] = bad
+    belief = GaussianBelief(np.zeros(2), cov)
+    step = SteadyStateLke(np.eye(2), NoiseSpec(np.eye(2), 1.0, np.eye(2)))
+    for i in range(5):
+        posterior, _ = step(belief, float(i))
+        assert posterior.cov.tobytes() == belief.cov.tobytes()
+        belief = posterior
+    if bad is None:
+        assert calls == [0.0] and step.gain is not None
+    else:
+        assert calls == [0.0, 1.0, 2.0, 3.0, 4.0] and step.gain is None
+
+
+def test_steady_state_lke_steps_other_beliefs_through_lke_step(monkeypatch):
+    import nnsse.estimators
+
+    F = uam3_F(0.005)
+    noise = NoiseSpec(np.diag([1e-6, 1e-4, 1e-2]), 1.0, np.eye(3))
+    step = SteadyStateLke(F, noise)
+    belief = GaussianBelief(np.zeros(3), noise.Pi0)
+    for i in range(3000):
+        belief, _ = step(belief, np.sin(0.01 * i))
+    assert belief.cov is step.cov and not step.cov.flags.writeable
+    calls = []
+    monkeypatch.setattr(nnsse.estimators, "lke_step",
+                        lambda *args: calls.append(1) or lke_step(*args))
+    frozen, innovation = step(belief, 0.5)
+    assert calls == [] and frozen.cov is step.cov
+    plain, plain_innovation = lke_step(F, noise, belief, 0.5)
+    assert frozen.mean.tobytes() == plain.mean.tobytes()
+    assert frozen.cov.tobytes() == plain.cov.tobytes()
+    assert innovation == plain_innovation
+    # A belief with an equal but distinct covariance takes the plain path.
+    other = GaussianBelief(belief.mean, belief.cov)
+    posterior, _ = step(other, 0.5)
+    assert calls == [1] and posterior.mean.tobytes() == plain.mean.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nnsse.estimators
+from nnsse.baselines import SineModel, StackKind, UamModel, multi_step_predict, stack_transition
 from nnsse.cli import EXIT_CONFIG, main
 from nnsse.config import load_config
-from nnsse.estimators import UkeParams
+from nnsse.estimators import GaussianBelief, UkeParams, lke_step
 from nnsse.model import Topology
 from nnsse.runners import ConfigError, RunContext, build_runner
+from nnsse.signals import gen_sine
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -81,3 +85,86 @@ def test_unconvertible_value_is_a_config_error(kind, key, value, tmp_path, capsy
     assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) \
         == EXIT_CONFIG
     assert "config error: estimator 'X'" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# steady-state linear runners
+
+T = 0.005
+OMEGA = 2.0 * np.pi
+
+LINEAR_RUNNERS = [
+    *(("uam_lke", {"order": str(k)}, UamModel(k, T)) for k in (1, 2, 3, 4)),
+    ("sine_lke", {}, SineModel(OMEGA, T)),
+    ("stack", {"stack": "E2P", "mode": "lke"}, stack_transition(StackKind.E2P)),
+    ("stack", {"stack": "E4P", "mode": "lke"}, stack_transition(StackKind.E4P)),
+]
+
+
+def _noisy_sine(steps=2000, seed=11):
+    return gen_sine(10.0, 1.0, 1.0 / T, steps, 1.0, seed).measurement
+
+
+@pytest.mark.parametrize("kind, params, model", LINEAR_RUNNERS,
+                         ids=["uam1", "uam2", "uam3", "uam4", "sine", "E2P", "E4P"])
+def test_linear_runner_matches_plain_lke_step_bitwise(kind, params, model):
+    # 2000 steps pass the bitwise fixed point of every filter here but the
+    # sine model's, whose covariance does not settle.
+    runner = build_runner("X", kind, params, RunContext(3, T, 1, OMEGA))
+    z = _noisy_sine()
+    F, noise = runner.step_fn.F, runner.step_fn.noise
+    belief = GaussianBelief(runner.init_mean_fn(z[0]), runner.P0)
+    want, got = [], []
+    for i in range(z.size):
+        if i:
+            belief, _ = lke_step(F, noise, belief, z[i])
+        want.append((multi_step_predict(model, belief.mean, 3), belief.cov))
+        got.append((runner.step(z[i]), runner.covariance()))
+    assert np.array([f for f, _ in got]).tobytes() == np.array([f for f, _ in want]).tobytes()
+    assert np.array([c for _, c in got]).tobytes() == np.array([c for _, c in want]).tobytes()
+    assert (runner.step_fn.cov is None) == (kind == "sine_lke")
+
+
+@pytest.mark.parametrize("order, most", [(1, 10), (3, 399)])
+def test_uam_lke_stops_calling_lke_step_at_the_fixed_point(order, most, monkeypatch):
+    calls = []
+    plain = nnsse.estimators.lke_step
+    monkeypatch.setattr(nnsse.estimators, "lke_step",
+                        lambda *args: calls.append(1) or plain(*args))
+    runner = build_runner("X", "uam_lke", {"order": str(order)}, RunContext(3, T, 1))
+    for z in _noisy_sine():
+        runner.step(z)
+    assert 1 <= len(calls) <= most
+
+
+# Reference closed forms, evaluated term by term on numpy float64 scalars.
+def _scalar_uam_forecast(state, n, T):
+    return float(sum(state[j] * (n * T) ** j / math.factorial(j) for j in range(state.size)))
+
+
+def _scalar_sine_forecast(state, n, omega, T):
+    angle = n * omega * T
+    return float(np.cos(angle) * state[0] + np.sin(angle) * state[1])
+
+
+def _random_states(rng, k):
+    states = [rng.standard_normal(k) * 10.0 ** rng.integers(-8, 9, k) for _ in range(60)]
+    return states + [np.zeros(k), -np.zeros(k), np.full(k, 1e300)]
+
+
+@pytest.mark.parametrize("horizon", range(1, 8))
+def test_bound_forecasts_match_the_closed_forms_bitwise(horizon):
+    rng = np.random.default_rng(horizon)
+    ctx = RunContext(horizon, T, 1, OMEGA)
+    for order in (1, 2, 3, 4):
+        runner = build_runner("X", "uam_lke", {"order": str(order)}, ctx)
+        for state in _random_states(rng, order):
+            got = runner.predict_fn(state)
+            assert got.hex() == multi_step_predict(UamModel(order, T), state, horizon).hex()
+            assert got.hex() == _scalar_uam_forecast(state, horizon, T).hex()
+    for omega in (OMEGA, 0.7):
+        runner = build_runner("X", "sine_lke", {"omega": str(omega)}, ctx)
+        for state in _random_states(rng, 2):
+            got = runner.predict_fn(state)
+            assert got.hex() == multi_step_predict(SineModel(omega, T), state, horizon).hex()
+            assert got.hex() == _scalar_sine_forecast(state, horizon, omega, T).hex()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from nnsse.cli import EXIT_CONFIG, main
 from nnsse.signals import (
     Trajectory,
     TrajectoryFormatError,
@@ -168,6 +169,59 @@ def test_load_inconsistent_row_length_reports_line(tmp_path):
     path.write_text("step,t,truth,measurement\n0,0,1,1.5\n1,0.01,2\n",
                     encoding="utf-8")
     with pytest.raises(TrajectoryFormatError, match="line 3"):
+        load_trajectory(path)
+
+
+def _truth_csv(path, steps=600, empty_line=None):
+    """Sine CSV with truth on every row but ``empty_line`` (a file line number)."""
+    traj = gen_sine(10, 1.0, 200, steps, 1.0, seed=3)
+    save_trajectory(path, traj)
+    if empty_line is not None:
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        cells = lines[empty_line - 1].split(",")
+        cells[2] = ""
+        lines[empty_line - 1] = ",".join(cells)
+        path.write_text("".join(lines), encoding="utf-8")
+    return traj
+
+
+@pytest.mark.parametrize("empty_line", [2, 302, 601])
+def test_load_partly_empty_truth_column_fails_at_first_empty_line(tmp_path, empty_line):
+    path = tmp_path / "partial.csv"
+    _truth_csv(path, empty_line=empty_line)
+    with pytest.raises(TrajectoryFormatError,
+                       match=f"line {empty_line}: empty truth cell"):
+        load_trajectory(path)
+
+
+def test_partly_empty_truth_column_is_a_config_error_in_the_cli(tmp_path, capsys):
+    path = tmp_path / "partial.csv"
+    _truth_csv(path, empty_line=302)
+    config = tmp_path / "replay.ini"
+    config.write_text(f"[trajectory]\nsource = file\npath = {path}\n[run]\n"
+                      f"windows = 0:600\n[estimator:UAM-LKE]\nkind = uam_lke\n",
+                      encoding="utf-8")
+    assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")]) \
+        == EXIT_CONFIG
+    assert "config error: line 302: empty truth cell" in capsys.readouterr().err
+
+
+def test_load_all_empty_truth_column_is_recorded_data(tmp_path):
+    path = tmp_path / "recorded.csv"
+    path.write_text("step,t,truth,measurement\n0,0,,1.5\n1,0.005,,1.25\n2,0.01,,1\n",
+                    encoding="utf-8")
+    assert load_trajectory(path).truth is None
+
+
+@pytest.mark.parametrize("bad_t, line", [("0.0001", 6), ("0.015", 6), ("0.02", 7)])
+def test_load_time_must_increase_on_every_line(tmp_path, bad_t, line):
+    rows = [f"{i},{i * 0.005:.3f},,{i}.5" for i in range(8)]
+    i = line - 2
+    rows[i] = f"{i},{bad_t},,{i}.5"
+    path = tmp_path / "times.csv"
+    path.write_text("step,t,truth,measurement\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(TrajectoryFormatError,
+                       match=f"line {line}: time column must be strictly increasing"):
         load_trajectory(path)
 
 
