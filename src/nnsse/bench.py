@@ -16,9 +16,11 @@ smallest eigenvalue of any P, and a P that is not finite is a failure like a
 non-finite forecast.  The recorded minimum is exactly what ``eigvalsh`` on
 every step would give, but ``eigvalsh`` runs only on the steps that may lower
 it: a Cholesky factorisation of P - (w + δ)I that succeeds proves that P has
-no eigenvalue at or below the running minimum w (Sylvester's law of inertia),
-and costs a fraction of ``eigvalsh`` once n reaches about 8.  The first step,
-a failed factorisation and P smaller than 8 x 8 fall back to ``eigvalsh``.
+no eigenvalue at or below the running minimum w (Sylvester's law of inertia).
+Up to 5 x 5 the audit and this screen run inline on Python floats, from 6 x 6
+through LAPACK.  Only the first step and a failed factorisation run
+``eigvalsh``.  A read-only P folded in once (the frozen covariance of a
+steady-state linear filter) is skipped while its bytes stay the same.
 """
 
 from __future__ import annotations
@@ -84,8 +86,12 @@ class ExperimentConfig:
             raise ConfigError("estimator roster must not be empty")
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
+        if self.warmup is not None and self.warmup < 0:
+            raise ConfigError(f"warmup must be >= 0, got {self.warmup}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be non-negative, got {self.seeds}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be unique, got {self.seeds}")
         names = [e.name for e in self.estimators]
@@ -189,15 +195,73 @@ def resolve_warmup(config: ExperimentConfig, runners: list[Runner]) -> int:
     return max([config.horizon] + [r.warmup_hint for r in runners])
 
 
-# Below this matrix dimension a Cholesky screen costs about as much as the
-# `eigvalsh` it would save (break-even near n = 8 with OpenBLAS, one thread).
-_SCREEN_MIN_DIM = 8
+# Up to this matrix dimension the audit works on Python floats (`tolist`):
+# NumPy and LAPACK call overhead then costs more than the arithmetic.  On a
+# step the screen passes, the inline audit beat the LAPACK one up to n = 5
+# and tied or lost from n = 6 on (OpenBLAS, one thread; see CHANGES.md).
+_INLINE_MAX_DIM = 5
 # Safety factor on the screen's margin δ = c n(n+2) ε (|tr P| + |w|).  The
-# margin covers the backward error of the Cholesky factorisation and of
-# `eigvalsh` (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-# ch. 10); without it, near-tie minima at n = 52 were misreported.
+# margin covers the backward error of the Cholesky factorisation, for any
+# order of its inner products, and of `eigvalsh` (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2002, ch. 10); without it, near-tie
+# minima at n = 52 were misreported.
 _SCREEN_MARGIN = 4.0
 _EPS = float(np.finfo(float).eps)
+
+
+def _screen_shift(n: int, trace: float, w: float) -> float:
+    return w + _SCREEN_MARGIN * n * (n + 2) * _EPS * (abs(trace) + abs(w))
+
+
+def _inline_asymmetry(rows: list[list[float]]) -> float:
+    """Largest |P - Pᵀ| entry of a nested-list P; nan if an entry is not
+    finite.  |a - b| = |b - a| exactly, so the lower triangle suffices; the
+    diagonal is included because an inf or nan there gives a nan."""
+    asym = 0.0
+    for i, row in enumerate(rows):
+        for j in range(i + 1):
+            d = abs(row[j] - rows[j][i])
+            if not d <= asym:          # larger, or nan
+                if not math.isfinite(d):
+                    return math.nan
+                asym = d
+    return asym
+
+
+def _inline_screen(rows: list[list[float]], w: float) -> bool:
+    """True if the Cholesky factorisation of P - (w + δ)I, on the lower
+    triangle of a nested-list P, runs to the end."""
+    n = len(rows)
+    shift = _screen_shift(n, sum(rows[i][i] for i in range(n)), w)
+    L: list[list[float]] = []
+    for i, row in enumerate(rows):
+        Li = []
+        for j in range(i):
+            Lj = L[j]
+            s = row[j]
+            for k in range(j):
+                s -= Li[k] * Lj[k]
+            Li.append(s / Lj[j])
+        s = row[i] - shift
+        for k in range(i):
+            s -= Li[k] * Li[k]
+        if not s > 0.0:                # breakdown, or nan
+            return False
+        Li.append(math.sqrt(s))
+        L.append(Li)
+    return True
+
+
+def _lapack_screen(cov: np.ndarray, w: float) -> bool:
+    """`_inline_screen` through LAPACK."""
+    n = cov.shape[0]
+    shifted = cov.copy()
+    shifted.flat[::n + 1] -= _screen_shift(n, float(cov.trace()), w)
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass
@@ -208,33 +272,41 @@ class CovarianceAudit:
     the smallest ``eigvalsh`` eigenvalue of any P passed to `update` (inf
     before the first).  Both equal, bit for bit, what ``eigvalsh`` on every
     step records.
+
+    Folding a P in twice records nothing new, so a read-only P is kept with
+    its bytes, and `update` returns at once when handed that same array with
+    the same bytes again (a frozen steady-state filter hands out one
+    read-only covariance).  The bytes are compared because a read-only array
+    can still change through a writable view made before the flag was set.
     """
 
     max_asymmetry: float = 0.0
     min_eigenvalue: float = math.inf
+    _folded: np.ndarray | None = field(default=None, init=False, repr=False,
+                                       compare=False)
+    _folded_bytes: bytes = field(default=b"", init=False, repr=False, compare=False)
 
     def update(self, cov: np.ndarray) -> bool:
         """Fold in one covariance; False, recording nothing, if it is not finite."""
+        if cov is self._folded and cov.tobytes() == self._folded_bytes:
+            return True
+        n = cov.shape[0]
+        rows = cov.tolist() if n <= _INLINE_MAX_DIM else None
         # Also the finiteness check, which must come first (a nan matrix
         # factors without raising; `eigvalsh` returns nan, which `min`
         # ignores, or raises).  Every entry enters a difference, and one that
         # is not finite makes it inf or nan (inf - inf is nan).
-        asym = float(np.abs(cov - cov.T).max())
+        asym = (_inline_asymmetry(rows) if rows is not None
+                else float(np.abs(cov - cov.T).max()))
         if not math.isfinite(asym):
             return False
         self.max_asymmetry = max(self.max_asymmetry, asym)
         w = self.min_eigenvalue
-        n = cov.shape[0]
-        if n >= _SCREEN_MIN_DIM and w < math.inf:
-            shifted = cov.copy()
-            shifted.flat[::n + 1] -= w + _SCREEN_MARGIN * n * (n + 2) * _EPS * (
-                abs(float(cov.trace())) + abs(w))
-            try:
-                np.linalg.cholesky(shifted)
-                return True  # every eigenvalue exceeds w: eigvalsh cannot lower it
-            except np.linalg.LinAlgError:
-                pass
-        self.min_eigenvalue = min(w, float(np.linalg.eigvalsh(cov).min()))
+        if not (w < math.inf and (_inline_screen(rows, w) if rows is not None
+                                  else _lapack_screen(cov, w))):
+            self.min_eigenvalue = min(w, float(np.linalg.eigvalsh(cov).min()))
+        if not cov.flags.writeable:
+            self._folded, self._folded_bytes = cov, cov.tobytes()
         return True
 
 

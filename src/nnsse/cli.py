@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 configuration error (including bad flags),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -55,8 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="check every step's covariance P: report the largest "
                           "|P - P^T| entry and the exact smallest eigenvalue of "
                           "any P, and fail the estimator on a non-finite P; "
-                          "eigvalsh runs only on steps a Cholesky screen cannot "
-                          "rule out, and on every step below 8 x 8")
+                          "eigvalsh runs only on the first step and on steps a "
+                          "Cholesky screen cannot rule out")
 
     rep = sub.add_parser("report", help="re-render a saved report")
     rep.add_argument("--report", type=Path, required=True,
@@ -79,7 +80,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
-        config.seeds = [args.seed]
+        config = dataclasses.replace(config, seeds=[args.seed])
     report = run_experiment(config, audit=args.audit, parallel=args.parallel)
     written = emit_report(report, args.format, args.out_dir)
     if args.format == "table":

@@ -22,9 +22,10 @@ Grammar (``configs/table1.ini`` is a complete example)::
     kind = nnsse_uke         # a kind of runners.ESTIMATOR_KINDS
     <parameter> = <value>
 
-`runners.ESTIMATOR_KINDS` is the one table of estimator kinds, the keys each
-accepts and their defaults.  Unknown estimator parameters are rejected at
-build time, not here.
+Unknown keys in ``[trajectory]`` (the sine keys included, under
+``source = file``) and ``[run]`` are rejected here.  `runners.ESTIMATOR_KINDS`
+is the one table of estimator kinds, the keys each accepts and their
+defaults.  Unknown estimator parameters are rejected at build time, not here.
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ from .bench import EstimatorSpec, ExperimentConfig, Metric
 from .runners import ConfigError
 
 _SINE_KEYS = ("amplitude", "period_s", "rate_hz", "steps", "noise_var")
+_RUN_KEYS = ("horizon", "seeds", "windows", "metric", "warmup")
+
+
+def _reject_unknown_keys(name: str, section, known) -> None:
+    unknown = [key for key in section if key not in known]
+    if unknown:
+        raise ConfigError(f"[{name}] unknown key{'s' if len(unknown) > 1 else ''}: "
+                          f"{', '.join(unknown)}")
 
 
 def _split_ints(text: str) -> list[int]:
@@ -61,6 +70,7 @@ def _split_windows(text: str) -> list[tuple[int, int]]:
 def _trajectory_section(section) -> dict:
     source = section.get("source", "sine").strip().lower()
     if source == "sine":
+        _reject_unknown_keys("trajectory", section, ("source",) + _SINE_KEYS)
         spec = {"source": "sine"}
         for key in _SINE_KEYS:
             if key in section:
@@ -78,6 +88,7 @@ def _trajectory_section(section) -> dict:
         spec["steps"] = int(steps)
         return spec
     if source == "file":
+        _reject_unknown_keys("trajectory", section, ("source", "path"))
         if "path" not in section:
             raise ConfigError("trajectory source 'file' requires path =")
         return {"source": "file", "path": section["path"].strip()}
@@ -101,6 +112,7 @@ def load_config(path) -> ExperimentConfig:
         trajectory = _trajectory_section(parser["trajectory"])
 
         run = parser["run"]
+        _reject_unknown_keys("run", run, _RUN_KEYS)
         horizon = int(run.get("horizon", 3))
         seeds = _split_ints(run.get("seeds", "1"))
         windows = _split_windows(run.get("windows", ""))

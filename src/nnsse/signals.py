@@ -22,6 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 REQUIRED_COLUMNS = ("step", "t", "measurement")
+# Relative tolerance on each time step against the first (17-digit times of
+# a uniform grid differ from it by round-off only).
+_PERIOD_RTOL = 1e-6
 
 
 class TrajectoryFormatError(ValueError):
@@ -128,8 +131,10 @@ def load_trajectory(path) -> Trajectory:
     Raises `TrajectoryFormatError` (with a line number where applicable) on a
     missing required column, a non-numeric or non-finite cell, an
     inconsistent row length, a file with no data rows, a time that does not
-    exceed the one before it, or an empty truth cell in a truth column that
-    has values on other rows.
+    exceed the one before it, a time step that differs from the first by more
+    than 1e-6 relative, or an empty truth cell in a truth column that has
+    values on other rows.  The sample period is the first time step, t[1] -
+    t[0] (1.0 for a single row).
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -148,6 +153,7 @@ def load_trajectory(path) -> Trajectory:
         truth: list[float] = []
         meas: list[float] = []
         first_empty_truth = first_truth = None
+        period = 1.0
         for line_no, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and row[0].strip() == ""):
                 continue
@@ -159,6 +165,12 @@ def load_trajectory(path) -> Trajectory:
                 raise TrajectoryFormatError(
                     f"line {line_no}: time column must be strictly increasing "
                     f"({row[idx['t']]!r} after {times[-1]!r})")
+            if len(times) == 1:
+                period = t - times[0]
+            elif times and not abs(t - times[-1] - period) <= _PERIOD_RTOL * period:
+                raise TrajectoryFormatError(
+                    f"line {line_no}: time step {t - times[-1]!r} differs from the "
+                    f"first time step {period!r}; samples must be uniformly spaced")
             times.append(t)
             meas.append(_parse_cell(row[idx["measurement"]], "measurement", line_no))
             if has_truth:
@@ -176,7 +188,6 @@ def load_trajectory(path) -> Trajectory:
         raise TrajectoryFormatError(
             f"line {first_empty_truth}: empty truth cell, but line {first_truth} "
             f"has truth; leave every truth cell empty for recorded data")
-    period = times[1] - times[0] if len(times) > 1 else 1.0
     truth_arr = np.array(truth) if first_truth else None
     return Trajectory(period, np.array(meas), truth_arr,
                       {"source": "file", "path": str(path)})

@@ -396,7 +396,7 @@ def _near_tie_covariances(n, rng, steps=12):
     return covs
 
 
-@pytest.mark.parametrize("n", [2, 3, 8, 12, 52])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 12, 52])
 def test_screened_audit_matches_eigvalsh_on_every_step_bitwise(n):
     rng = np.random.default_rng(n)
     sequences = [_near_tie_covariances(n, rng) for _ in range(30)]
@@ -411,7 +411,7 @@ def test_screened_audit_matches_eigvalsh_on_every_step_bitwise(n):
         assert repr(got) == repr(_eigvalsh_every_step(covs))
 
 
-@pytest.mark.parametrize("n", [2, 3, 8, 52])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 52])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_covariance_is_refused_and_not_recorded(n, bad):
     audit = CovarianceAudit()
@@ -424,6 +424,21 @@ def test_non_finite_covariance_is_refused_and_not_recorded(n, bad):
             assert not audit.update(cov), cells
     assert not audit.update(np.full((n, n), np.nan))
     assert (audit.max_asymmetry, audit.min_eigenvalue) == (0.0, 2.0)
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_read_only_covariance_changed_through_a_view_is_audited_again(n):
+    base = 2.0 * np.eye(n)
+    cov = base.view()
+    cov.flags.writeable = False
+    audit = CovarianceAudit()
+    assert audit.update(cov) and audit.update(cov)
+    base[0, 0] = -1.0
+    base[n - 1, 0] = 0.5
+    assert audit.update(cov)
+    got = (audit.max_asymmetry, audit.min_eigenvalue)
+    assert repr(got) == repr(_eigvalsh_every_step([2.0 * np.eye(n), base]))
+    assert got[1] < 0
 
 
 class _CovarianceTurnsNan(Runner):
@@ -503,7 +518,9 @@ def test_audit_matches_eigvalsh_on_every_step_end_to_end():
              EstimatorSpec("NNSSE-5-5-1", "nnsse_uke", {"network": "5-5-1"}),
              EstimatorSpec("NNSSE-Tanh", "nnsse_uke",
                            {"network": "5-5-1", "activation": "tanh"}),
-             EstimatorSpec("NNSSE-PE", "nnsse_pe", {"particles": 50})]
+             EstimatorSpec("NNSSE-PE", "nnsse_pe", {"particles": 50}),
+             EstimatorSpec("Accurate-Sin", "sine_lke", {}),
+             EstimatorSpec("E2P-LKE", "stack", {"stack": "E2P", "mode": "lke"})]
     cfg = sine_config(specs, steps=400, windows=((0, 400),))
     run = run_single_seed(cfg, 1, audit=True)
     expected = _audit_oracle(cfg, 1)
@@ -515,14 +532,15 @@ def test_audit_matches_eigvalsh_on_every_step_end_to_end():
     assert run.results["NNSSE-PE"].min_eigenvalue is None
 
 
-def test_audit_runs_eigvalsh_on_few_steps_of_a_52_state_replay(monkeypatch, tmp_path):
+def _eigvalsh_calls_on_a_replay(spec, monkeypatch, tmp_path):
+    """Shapes passed to `eigvalsh` by the audit of one 600-step replay."""
     sine = gen_sine(10.0, 1.0, 200.0, 600, 1.0, seed=10)
     path = tmp_path / "recorded.csv"
     save_trajectory(path, Trajectory(sine.sample_period, sine.measurement))
     cfg = ExperimentConfig(
         trajectory={"source": "file", "path": str(path)},
         horizon=3,
-        estimators=[EstimatorSpec("NNSSE-UKE", "nnsse_uke", {})],
+        estimators=[spec],
         windows=[(0, 600)])
     calls = []
     eigvalsh = np.linalg.eigvalsh
@@ -533,8 +551,22 @@ def test_audit_runs_eigvalsh_on_few_steps_of_a_52_state_replay(monkeypatch, tmp_
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     run = run_single_seed(cfg, 1, audit=True)
-    assert run.results["NNSSE-UKE"].failure is None
+    assert run.results[spec.name].failure is None
+    return calls
+
+
+def test_audit_runs_eigvalsh_on_few_steps_of_a_52_state_replay(monkeypatch, tmp_path):
+    calls = _eigvalsh_calls_on_a_replay(EstimatorSpec("NNSSE-UKE", "nnsse_uke", {}),
+                                        monkeypatch, tmp_path)
     assert set(calls) == {(52, 52)}
+    assert 1 <= len(calls) <= 60
+
+
+def test_audit_runs_eigvalsh_on_few_steps_of_a_uam_lke_replay(monkeypatch, tmp_path):
+    # n = 3: screened inline, and skipped once the filter freezes its covariance.
+    calls = _eigvalsh_calls_on_a_replay(EstimatorSpec("UAM-LKE", "uam_lke", {}),
+                                        monkeypatch, tmp_path)
+    assert set(calls) == {(3, 3)}
     assert 1 <= len(calls) <= 60
 
 
@@ -571,6 +603,61 @@ def test_invalid_sine_trajectory_is_a_config_error(line, message, tmp_path, caps
     assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) \
         == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: [trajectory] {message}\n"
+
+
+def _config_error(text, tmp_path, capsys, *flags):
+    """The ``config error:`` message `nnsse run` prints for a config file
+    (exit 1, no report); without flags, also what `load_config` raises."""
+    from nnsse.config import load_config
+
+    path = tmp_path / "bad.ini"
+    path.write_text(text, encoding="utf-8")
+    argv = ["run", "--config", str(path), "--out-dir", str(tmp_path / "out"), *flags]
+    assert main(argv) == EXIT_CONFIG
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("config error: ") and stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+    message = stderr[len("config error: "):-1]
+    if not flags:
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == message
+    return message
+
+
+_UAM_LKE_ROW = "[estimator:UAM-LKE]\nkind = uam_lke\n"
+
+
+def test_negative_warmup_is_a_config_error(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="warmup"):
+        sine_config([EstimatorSpec("A", "uam_lke", {})], warmup=-5)
+    sine_config([EstimatorSpec("A", "uam_lke", {})], warmup=0)
+    text = f"[trajectory]\nsteps = 300\n[run]\nwarmup = -5\nwindows = 0:300\n{_UAM_LKE_ROW}"
+    assert _config_error(text, tmp_path, capsys) == "warmup must be >= 0, got -5"
+
+
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="non-negative"):
+        sine_config([EstimatorSpec("A", "uam_lke", {})], seeds=(2, -1))
+    text = f"[trajectory]\nsteps = 300\n[run]\nseeds = -1\n{_UAM_LKE_ROW}"
+    assert _config_error(text, tmp_path, capsys) == \
+        "seeds must be non-negative, got [-1]"
+    text = f"[trajectory]\nsteps = 300\n[run]\nseeds = 1\n{_UAM_LKE_ROW}"
+    assert _config_error(text, tmp_path, capsys, "--seed", "-1") == \
+        "seeds must be non-negative, got [-1]"
+
+
+@pytest.mark.parametrize("section, message", [
+    ("[trajectory]\namplitud = 5\n[run]\n", "[trajectory] unknown key: amplitud"),
+    ("[trajectory]\n[run]\nhorizn = 4\nseed = 2\n",
+     "[run] unknown keys: horizn, seed"),
+    ("[trajectory]\nsource = file\npath = x.csv\nsteps = 300\nnoise_var = 0\n"
+     "[run]\nwindows = 0:300\n", "[trajectory] unknown keys: steps, noise_var"),
+    ("[trajectory]\npath = x.csv\n[run]\n", "[trajectory] unknown key: path"),
+])
+def test_unknown_trajectory_and_run_keys_are_config_errors(section, message, tmp_path,
+                                                           capsys):
+    assert _config_error(section + _UAM_LKE_ROW, tmp_path, capsys) == message
 
 
 def test_whole_float_steps_and_zero_noise_are_accepted(tmp_path):

@@ -225,6 +225,28 @@ def test_load_time_must_increase_on_every_line(tmp_path, bad_t, line):
         load_trajectory(path)
 
 
+@pytest.mark.parametrize("times, line", [
+    ("0 0.005 0.5 0.6", 4),
+    ("0 0.005 0.01 0.015 0.0200001", 6),
+    ("0 0.005 0.01 0.01499", 5),
+])
+def test_load_time_steps_must_be_uniform(tmp_path, times, line):
+    rows = [f"{i},{t},,{i}.5" for i, t in enumerate(times.split())]
+    path = tmp_path / "times.csv"
+    path.write_text("step,t,truth,measurement\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(TrajectoryFormatError,
+                       match=f"line {line}: time step .* differs from the first time "
+                             f"step 0.005; samples must be uniformly spaced"):
+        load_trajectory(path)
+
+
+def test_load_accepts_round_off_in_uniform_time_steps(tmp_path):
+    path = tmp_path / "times.csv"
+    path.write_text("step,t,measurement\n0,0,1\n1,0.005,2\n2,0.0100000000001,3\n"
+                    "3,0.015,4\n", encoding="utf-8")
+    assert load_trajectory(path).sample_period == 0.005
+
+
 def test_save_with_extra_columns_nan_blank(tmp_path):
     traj = Trajectory(0.5, np.array([1.0, 2.0, 3.0]))
     path = tmp_path / "run.csv"
