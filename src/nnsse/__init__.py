@@ -43,12 +43,10 @@ from .estimators import (
 )
 from .model import (
     Activation,
-    NetworkStateSpace,
     NoiseSpec,
     Topology,
     TopologyKind,
     transition_jacobian,
-    weight_count,
 )
 from .runners import ConfigError, build_runner
 from .signals import Trajectory, TrajectoryFormatError, gen_sine, load_trajectory, save_trajectory

@@ -35,7 +35,7 @@ import numpy as np
 
 from .estimators import EstimatorError
 from .runners import ConfigError, RunContext, Runner, build_runner
-from .signals import Trajectory, gen_sine, load_trajectory
+from .signals import SINE_DEFAULTS, Trajectory, gen_sine, load_trajectory
 
 
 class Metric(Enum):
@@ -105,14 +105,7 @@ class ExperimentConfig:
         src = dict(self.trajectory)
         kind = src.pop("source", "sine")
         if kind == "sine":
-            return gen_sine(
-                amplitude=float(src.get("amplitude", 10.0)),
-                period_s=float(src.get("period_s", 1.0)),
-                rate_hz=float(src.get("rate_hz", 200.0)),
-                steps=int(src.get("steps", 10_000)),
-                noise_var=float(src.get("noise_var", 1.0)),
-                seed=seed,
-            )
+            return gen_sine(**{**SINE_DEFAULTS, **src}, seed=seed)
         if kind == "file":
             return load_trajectory(src["path"])
         raise ConfigError(f"unknown trajectory source {kind!r}")

@@ -15,7 +15,7 @@ from .bench import run_experiment
 from .config import load_config
 from .report import emit_report, load_report, render_table, report_to_dict, write_summary_csv
 from .runners import ConfigError
-from .signals import TrajectoryFormatError, gen_sine, save_trajectory
+from .signals import SINE_DEFAULTS, TrajectoryFormatError, gen_sine, save_trajectory
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -36,11 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="write a generated noisy-sine trajectory CSV")
-    sim.add_argument("--amplitude", type=float, default=10.0)
-    sim.add_argument("--period-s", type=float, default=1.0)
-    sim.add_argument("--rate-hz", type=float, default=200.0)
-    sim.add_argument("--steps", type=int, default=10_000)
-    sim.add_argument("--noise-var", type=float, default=1.0)
+    for key, default in SINE_DEFAULTS.items():
+        sim.add_argument("--" + key.replace("_", "-"), type=type(default), default=default)
     sim.add_argument("--seed", type=int, default=1)
     sim.add_argument("--out", type=Path, required=True, help="output CSV path")
 
@@ -69,8 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    traj = gen_sine(args.amplitude, args.period_s, args.rate_hz, args.steps,
-                    args.noise_var, args.seed)
+    try:
+        traj = gen_sine(**{key: getattr(args, key) for key in SINE_DEFAULTS},
+                        seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_trajectory(args.out, traj)
     print(f"wrote {args.out} ({args.steps} steps, seed {args.seed})")

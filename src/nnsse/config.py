@@ -35,8 +35,8 @@ import math
 
 from .bench import EstimatorSpec, ExperimentConfig, Metric
 from .runners import ConfigError
+from .signals import SINE_DEFAULTS
 
-_SINE_KEYS = ("amplitude", "period_s", "rate_hz", "steps", "noise_var")
 _RUN_KEYS = ("horizon", "seeds", "windows", "metric", "warmup")
 
 
@@ -70,9 +70,9 @@ def _split_windows(text: str) -> list[tuple[int, int]]:
 def _trajectory_section(section) -> dict:
     source = section.get("source", "sine").strip().lower()
     if source == "sine":
-        _reject_unknown_keys("trajectory", section, ("source",) + _SINE_KEYS)
+        _reject_unknown_keys("trajectory", section, ("source", *SINE_DEFAULTS))
         spec = {"source": "sine"}
-        for key in _SINE_KEYS:
+        for key in SINE_DEFAULTS:
             if key in section:
                 value = float(section[key])
                 in_range = value >= 0 if key == "noise_var" else value > 0
@@ -81,7 +81,7 @@ def _trajectory_section(section) -> dict:
                     raise ConfigError(f"[trajectory] {key} = {section[key]!r}: "
                                       f"expected a finite value, {least}")
                 spec[key] = value
-        steps = spec.get("steps", 10_000)
+        steps = spec.get("steps", SINE_DEFAULTS["steps"])
         if steps != int(steps):
             raise ConfigError(f"[trajectory] steps = {section['steps']!r}: "
                               f"expected a whole number")

@@ -7,8 +7,11 @@ linear variant takes a transition matrix F.  The others take a model of the
 map x' = A x + e_0 f(x), row 0 of the fixed A being zero: ``lead_batch(X)``
 is f at each row, ``linear_part(X)`` is X A^T, ``lead_gradient(x)`` the
 gradient of f at one state (extended only) and ``transition_batch(X)`` the
-whole map of each row (particle only).  Shared time update after Morelande &
-Ristic, ICASSP 2006, and Briers, Maskell & Wright, FUSION 2003.
+whole map of each row (particle only).  `model.Topology` implements this
+protocol for the network state, and `runners._LinearAdapter` its unscented
+part (``lead_batch``, ``linear_part``) for a fixed F.  Shared time update
+after Morelande & Ristic, ICASSP 2006, and Briers, Maskell & Wright,
+FUSION 2003.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ class EstimatorError(RuntimeError):
 
 
 class CovarianceDegeneracyError(EstimatorError):
-    """Covariance lost positive semidefiniteness beyond the jitter budget."""
+    """A covariance Cholesky refuses, a non-finite prediction or an innovation
+    variance that is not positive; no jitter is added to rescue a step."""
 
 
 class DegenerateLikelihoodError(EstimatorError):
@@ -95,26 +99,21 @@ class SigmaSet:
 
 
 def psd_sqrt(M: np.ndarray) -> np.ndarray:
-    """Lower-triangular factor of a symmetric PSD matrix.
+    """Lower-triangular Cholesky factor L, M = L L^T, of a symmetric matrix.
 
-    Plain Cholesky, then escalating diagonal jitter {1e-12, 1e-9, 1e-6} scaled
-    by trace(M)/n.  An exactly zero matrix factors to zero (its trace gives the
-    jitter no scale, and L = 0 already reproduces it).
-    """
+    An exactly zero matrix factors to zero.  Any other matrix Cholesky refuses
+    raises `CovarianceDegeneracyError` with n and its smallest eigenvalue."""
     M = np.asarray(M, dtype=float)
     try:
         return np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         if not M.any():
             return np.zeros_like(M)
-    scale = float(np.trace(M)) / M.shape[0]
-    for jitter in (1e-12, 1e-9, 1e-6):
-        try:
-            return np.linalg.cholesky(M + (jitter * scale) * np.eye(M.shape[0]))
-        except np.linalg.LinAlgError:
-            continue
+    smallest = (repr(float(np.linalg.eigvalsh(M).min())) if np.isfinite(M).all()
+                else "undefined (entries not finite)")
     raise CovarianceDegeneracyError(
-        "matrix square root failed at maximum jitter 1e-6*trace/n")
+        f"Cholesky factorisation of a {M.shape[0]}x{M.shape[0]} covariance "
+        f"failed; smallest eigenvalue {smallest}")
 
 
 def uke_sigma_points(belief: GaussianBelief, params: UkeParams = UkeParams()) -> SigmaSet:
@@ -293,21 +292,20 @@ def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nda
 
 
 def _draw_process_noise(Q: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    n = Q.shape[0]
-    e = rng.standard_normal((count, n))
+    """``count`` draws of N(0, Q) for a diagonal Q."""
     diag = np.diagonal(Q)
-    if np.count_nonzero(Q - np.diag(diag)) == 0:
-        return e * np.sqrt(diag)
-    return e @ psd_sqrt(Q).T
+    if np.count_nonzero(Q - np.diag(diag)):
+        raise ValueError("particle process noise Q must be diagonal")
+    return rng.standard_normal((count, Q.shape[0])) * np.sqrt(diag)
 
 
 def pe_step(model, noise: NoiseSpec, particles: ParticleSet, z: float,
             rng: np.random.Generator):
     """Bootstrap particle step; returns (new ParticleSet, predicted observation).
 
-    Propagates through the transition plus Gaussian process noise, weights by
-    the Gaussian likelihood of the measurement, and resamples systematically
-    when the effective sample size drops below N/2.
+    Propagates through the transition plus Gaussian process noise (Q must be
+    diagonal), weights by the Gaussian likelihood of the measurement, and
+    resamples systematically when the effective sample size drops below N/2.
     """
     N = particles.particles.shape[0]
     if N < 2:

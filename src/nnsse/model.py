@@ -13,7 +13,9 @@ State layout for horizon ``a``, input width ``b`` and weight count ``c``
   flattened row-major (row = destination neuron).  There are no bias terms.
 
 The one-step map is x' = A x + e_0 f(x), f the network output; the fixed A
-has row 0 zero, shifts the positions down by one and keeps the weights."""
+has row 0 zero, shifts the positions down by one and keeps the weights.
+`Topology` is the model the estimators step on: its methods ``lead_batch``,
+``linear_part``, ``lead_gradient`` and ``transition_batch`` are this map."""
 
 from __future__ import annotations
 
@@ -36,7 +38,8 @@ class Activation(Enum):
 
 @dataclass(frozen=True)
 class Topology:
-    """Architecture descriptor: layer widths, activation and horizon.
+    """Architecture descriptor: layer widths, activation and horizon, and the
+    one-step map of the state it lays out.
 
     ``layer_widths`` starts with the input width ``b`` and ends with the
     output width, which must be exactly 1.  A weighted-sum topology is the
@@ -81,7 +84,9 @@ class Topology:
 
     @cached_property
     def weight_count(self) -> int:
-        return weight_count(self)
+        """Total number of weights: sum of width products over adjacent layers."""
+        widths = self.layer_widths
+        return int(sum(widths[k] * widths[k + 1] for k in range(len(widths) - 1)))
 
     @cached_property
     def position_count(self) -> int:
@@ -105,11 +110,51 @@ class Topology:
     def weight_slice(self) -> slice:
         return slice(self.position_count, self.state_dim)
 
+    def lead_batch(self, states: np.ndarray) -> np.ndarray:
+        """Network output f, row 0 of the one-step map, at each row of states."""
+        return forward_batch(self, states[:, self.network_input_slice],
+                             states[:, self.weight_slice])
 
-def weight_count(topology: Topology) -> int:
-    """Total number of weights: sum of width products over adjacent layers."""
-    widths = topology.layer_widths
-    return int(sum(widths[k] * widths[k + 1] for k in range(len(widths) - 1)))
+    def linear_part(self, X: np.ndarray) -> np.ndarray:
+        """X A^T by index copies along the last axis, for the fixed linear part A
+        of the one-step map; ``linear_part(linear_part(P).T)`` is A P A^T."""
+        pos_end = self.position_count
+        out = X.copy()
+        out[..., 1:pos_end] = X[..., :pos_end - 1]
+        out[..., 0] = 0.0
+        return out
+
+    def transition_batch(self, states: np.ndarray) -> np.ndarray:
+        """One-step map of each row: the network output pushed onto the shifted
+        positions, weights unchanged.  Process noise is the estimators' part."""
+        states = np.asarray(states, dtype=float)
+        if states.ndim != 2 or states.shape[1] != self.state_dim:
+            raise ValueError("states must be (m, n) for this topology")
+        out = self.linear_part(states)
+        out[:, 0] = self.lead_batch(states)
+        return out
+
+    def lead_gradient(self, state) -> np.ndarray:
+        """Gradient (n,) of the network output f at one state, by backprop
+        through the one-row forward pass; unread positions stay zero."""
+        state = np.asarray(state, dtype=float)
+        if state.shape != (self.state_dim,):
+            raise ValueError("state does not match topology dimension")
+        mats, hs = _layer_outputs(self, state[None, self.network_input_slice],
+                                  state[None, self.weight_slice])
+        tanh = self.hidden_activation is Activation.TANH
+        delta = np.ones(1)
+        grad_w = [np.empty(0)] * len(mats)
+        for k in range(len(mats) - 1, -1, -1):
+            grad_w[k] = np.outer(delta, hs[k][0]).ravel()
+            delta = mats[k][0].T @ delta
+            if k > 0 and tanh:
+                # hs[k] is the activated hidden output, so tanh' = 1 - hs[k]^2
+                delta = delta * (1.0 - hs[k][0] ** 2)
+        grad = np.zeros(self.state_dim)
+        grad[self.network_input_slice] = delta
+        grad[self.weight_slice] = np.concatenate(grad_w)
+        return grad
 
 
 @dataclass
@@ -127,13 +172,17 @@ class NoiseSpec:
         for name, M in (("Q", self.Q), ("Pi0", self.Pi0)):
             if M.ndim != 2 or M.shape[0] != M.shape[1]:
                 raise ValueError(f"{name} must be a square matrix")
+            if not np.isfinite(M).all():
+                raise ValueError(f"{name} must be finite")
+            if (np.diagonal(M) < 0).any():
+                raise ValueError(f"{name} must have a nonnegative diagonal")
             scale = max(1.0, float(np.abs(M).max()))
             if np.abs(M - M.T).max() > 1e-9 * scale:
                 raise ValueError(f"{name} must be symmetric")
         if self.Q.shape != self.Pi0.shape:
             raise ValueError("Q and Pi0 must have the same shape")
-        if not self.R > 0:
-            raise ValueError("R must be > 0")
+        if not 0 < self.R < np.inf:
+            raise ValueError(f"R must be finite and > 0, got {self.R}")
 
 
 def _layer_outputs(topology: Topology, inputs: np.ndarray, weights: np.ndarray):
@@ -174,31 +223,8 @@ def forward_batch(topology: Topology, inputs: np.ndarray,
     return _layer_outputs(topology, inputs, weights)[1][-1][:, 0]
 
 
-def lead_batch(topology: Topology, states: np.ndarray) -> np.ndarray:
-    """Network output f, row 0 of the one-step map, at each row of states."""
-    return forward_batch(topology, states[:, topology.network_input_slice],
-                         states[:, topology.weight_slice])
-
-
-def linear_part(topology: Topology, X: np.ndarray) -> np.ndarray:
-    """X A^T by index copies along the last axis, for the fixed linear part A
-    of the one-step map; ``linear_part(linear_part(P).T)`` is A P A^T."""
-    pos_end = topology.position_count
-    out = X.copy()
-    out[..., 1:pos_end] = X[..., :pos_end - 1]
-    out[..., 0] = 0.0
-    return out
-
-
-def transition_batch(topology: Topology, states: np.ndarray) -> np.ndarray:
-    """One-step map of each row: the network output pushed onto the shifted
-    positions, weights unchanged.  Process noise is the estimators' part."""
-    states = np.asarray(states, dtype=float)
-    if states.ndim != 2 or states.shape[1] != topology.state_dim:
-        raise ValueError("states must be (m, n) for this topology")
-    out = linear_part(topology, states)
-    out[:, 0] = lead_batch(topology, states)
-    return out
+# The one-step map as a free function of (topology, states).
+transition_batch = Topology.transition_batch
 
 
 def predict_ahead_batch(topology: Topology, states: np.ndarray) -> np.ndarray:
@@ -209,51 +235,10 @@ def predict_ahead_batch(topology: Topology, states: np.ndarray) -> np.ndarray:
                          states[:, topology.weight_slice])
 
 
-def lead_gradient(topology: Topology, state) -> np.ndarray:
-    """Gradient (n,) of the network output f at one state, by backprop
-    through the one-row forward pass; unread positions stay zero."""
-    state = np.asarray(state, dtype=float)
-    if state.shape != (topology.state_dim,):
-        raise ValueError("state does not match topology dimension")
-    mats, hs = _layer_outputs(topology, state[None, topology.network_input_slice],
-                              state[None, topology.weight_slice])
-    tanh = topology.hidden_activation is Activation.TANH
-    delta = np.ones(1)
-    grad_w = [np.empty(0)] * len(mats)
-    for k in range(len(mats) - 1, -1, -1):
-        grad_w[k] = np.outer(delta, hs[k][0]).ravel()
-        delta = mats[k][0].T @ delta
-        if k > 0 and tanh:
-            # hs[k] is the activated hidden output, so tanh' = 1 - hs[k]^2
-            delta = delta * (1.0 - hs[k][0] ** 2)
-    grad = np.zeros(topology.state_dim)
-    grad[topology.network_input_slice] = delta
-    grad[topology.weight_slice] = np.concatenate(grad_w)
-    return grad
-
-
 def transition_jacobian(topology: Topology, state) -> np.ndarray:
     """Dense Jacobian of the one-step map at one state: A with row 0 set to
     `lead_gradient`.  No estimator forms it."""
-    J = linear_part(topology, np.eye(topology.state_dim)).T
-    J[0] = lead_gradient(topology, state)
+    J = topology.linear_part(np.eye(topology.state_dim)).T
+    J[0] = topology.lead_gradient(state)
     return J
 
-
-class NetworkStateSpace:
-    """Adapter bundling a topology with the estimator-facing map protocol."""
-
-    def __init__(self, topology: Topology):
-        self.topology = topology
-
-    def transition_batch(self, X: np.ndarray) -> np.ndarray:
-        return transition_batch(self.topology, X)
-
-    def lead_batch(self, X: np.ndarray) -> np.ndarray:
-        return lead_batch(self.topology, X)
-
-    def lead_gradient(self, x: np.ndarray) -> np.ndarray:
-        return lead_gradient(self.topology, x)
-
-    def linear_part(self, X: np.ndarray) -> np.ndarray:
-        return linear_part(self.topology, X)

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import RunReport
+from .runners import ConfigError
 from .signals import save_trajectory
 
 SCALE_THRESHOLD = 1e4
@@ -192,9 +193,18 @@ def emit_report(report: RunReport, fmt: str, out_dir) -> list[Path]:
 
 
 def load_report(path) -> dict:
-    """Read back a persisted report.json (or the directory holding one)."""
+    """Read back a persisted report.json (or the directory holding one); one
+    that is not JSON or lacks a key rendering reads is a `ConfigError`."""
     p = Path(path)
     if p.is_dir():
         p = p / "report.json"
     with open(p, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{p} is not valid JSON: {exc}") from None
+    missing = [key for key in ("horizon", "warmup", "metric", "windows", "seeds", "results")
+               if not isinstance(data, dict) or key not in data]
+    if missing:
+        raise ConfigError(f"{p} is not a report: missing {', '.join(missing)}")
+    return data

@@ -38,7 +38,7 @@ from .estimators import (
     pe_step,
     uke_step,
 )
-from .model import Activation, NetworkStateSpace, NoiseSpec, Topology
+from .model import Activation, NoiseSpec, Topology
 
 
 class ConfigError(ValueError):
@@ -103,6 +103,8 @@ class PeRunner(Runner):
     def __init__(self, name, horizon, model, noise: NoiseSpec, n_particles,
                  predict_batch_fn, init_mean_fn, rng, warmup_hint):
         super().__init__(name, horizon, warmup_hint)
+        if n_particles < 2:
+            raise ValueError(f"particles must be >= 2, got {n_particles}")
         self.model = model
         self.noise = noise
         self.n_particles = int(n_particles)
@@ -128,7 +130,8 @@ class OpenLoopStackRunner(Runner):
     """Deterministic stack predictor applied directly to raw measurements.
 
     ``window`` holds the last k measurements, newest first; until k have
-    arrived the forecast is the last measurement (persistence).
+    arrived the forecast is the last measurement (persistence).  Each
+    measurement goes to `_refit` before it enters the window.
     """
 
     def __init__(self, name, horizon, stack: StackModel):
@@ -137,8 +140,12 @@ class OpenLoopStackRunner(Runner):
         self.window = np.zeros(stack.k)
         self.seen = 0
 
+    def _refit(self, z: float) -> None:
+        """Hook for a stack that learns from the data; a fixed stack does not."""
+
     def step(self, z: float) -> float:
         z = float(z)
+        self._refit(z)
         self.window[1:] = self.window[:-1]
         self.window[0] = z
         self.seen += 1
@@ -147,44 +154,35 @@ class OpenLoopStackRunner(Runner):
         return multi_step_predict(self.stack, self.window, self.horizon)
 
 
-class E4ptrwRunner(Runner):
-    """Stack predictor whose first row is re-regressed from a sliding window.
+class E4ptrwRunner(OpenLoopStackRunner):
+    """Open-loop E4PTRW stack whose first row is re-regressed from a sliding
+    window of measurements.
 
-    ``recent`` holds the last four measurements, newest first.  Every
-    measurement from the fifth on adds one regression row: the ``recent`` it
-    followed as inputs and itself as target.  ``inputs`` (W, 4) and
-    ``targets`` (W,) keep the last W rows, oldest first, and shift up by one
-    row per step.  Once W rows have accumulated, every step refits the
-    coefficients from them with `e4ptrw_refit`; before that the published
-    offline coefficients apply.  Until four measurements have arrived the
-    forecast is the last measurement (persistence).
+    Every measurement from the fifth on adds one regression row: the
+    ``window`` of four it followed as inputs and itself as target.
+    ``inputs`` (W, 4) and ``targets`` (W,) keep the last W rows, oldest
+    first, and shift up by one row per step.  Once W rows have accumulated,
+    every step refits the coefficients from them with `e4ptrw_refit`; before
+    that the published offline coefficients apply.
     """
 
     def __init__(self, name, horizon, window_len=E4PTRW_WINDOW):
-        super().__init__(name, horizon, 5)
+        super().__init__(name, horizon, stack_transition(StackKind.E4PTRW))
+        self.warmup_hint = 5  # the first regression row comes with the fifth measurement
         self.window_len = int(window_len)
-        self.recent = np.zeros(4)
         self.inputs = np.zeros((self.window_len, 4))
         self.targets = np.zeros(self.window_len)
-        self.seen = 0
-        self.stack = stack_transition(StackKind.E4PTRW)
 
-    def step(self, z: float) -> float:
-        z = float(z)
-        if self.seen >= 4:
-            self.inputs[:-1] = self.inputs[1:]
-            self.inputs[-1] = self.recent
-            self.targets[:-1] = self.targets[1:]
-            self.targets[-1] = z
-        self.recent[1:] = self.recent[:-1]
-        self.recent[0] = z
-        self.seen += 1
-        if self.seen - 4 >= self.window_len:
+    def _refit(self, z: float) -> None:
+        if self.seen < 4:
+            return
+        self.inputs[:-1] = self.inputs[1:]
+        self.inputs[-1] = self.window
+        self.targets[:-1] = self.targets[1:]
+        self.targets[-1] = z
+        if self.seen - 3 >= self.window_len:
             self.stack = StackModel(StackKind.E4PTRW,
                                     e4ptrw_refit(self.inputs, self.targets))
-        if self.seen < 4:
-            return z
-        return multi_step_predict(self.stack, self.recent, self.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +217,7 @@ def _uam_runner(name, kind, p, ctx: RunContext) -> Runner:
         step_fn = SteadyStateLke(m.F, noise)
     else:
         step_fn = partial(uke_step, _LinearAdapter(m.F), noise,
-                          params=UkeParams(p["alpha"], p["beta"], p["kappa"]))
+                          params=_uke_params(p, m.order))
     return GaussianRunner(name, a, step_fn, noise.Pi0,
                           lambda mean: multi_step_predict(m, mean, a),
                           lambda z: np.concatenate([[z], np.zeros(m.order - 1)]), m.order)
@@ -232,6 +230,13 @@ def _sine_runner(name, kind, p, ctx: RunContext) -> Runner:
     noise = NoiseSpec(p["q"] * np.eye(2), p["r"], p["p0"] * np.eye(2))
     return GaussianRunner(name, a, SteadyStateLke(m.F, noise), noise.Pi0, m.forecaster(a),
                           lambda z: np.array([z, 0.0]), 2)
+
+
+def _uke_params(p, n: int) -> UkeParams:
+    params = UkeParams(p["alpha"], p["beta"], p["kappa"])
+    if not n + params.lam(n) > 0:  # `uke_sigma_points` refuses it at step 1
+        raise ValueError(f"n + lambda = alpha^2 (n + kappa) must be positive, n = {n}")
+    return params
 
 
 def _parse_network(p, horizon) -> Topology:
@@ -280,16 +285,14 @@ def _nnsse_runner(name, kind, p, ctx: RunContext) -> Runner:
                       np.diag([p["p0_pos"]] * n_pos + [p["p0_w"]] * c))
     rng = estimator_rng(ctx.seed, name)
     init = _nnssm_init_fn(top, rng, p["init_scale"])
-    net = NetworkStateSpace(top)
     if kind == "nnsse_pe":
-        return PeRunner(name, a, net, noise, p["particles"],
+        return PeRunner(name, a, top, noise, p["particles"],
                         lambda X: nnmodel.predict_ahead_batch(top, X),
                         init, rng, top.input_width)
     if kind == "nnsse_uke":
-        step_fn = partial(uke_step, net, noise,
-                          params=UkeParams(p["alpha"], p["beta"], p["kappa"]))
+        step_fn = partial(uke_step, top, noise, params=_uke_params(p, top.state_dim))
     else:
-        step_fn = partial(eke_step, net, noise)
+        step_fn = partial(eke_step, top, noise)
     return GaussianRunner(name, a, step_fn, noise.Pi0,
                           lambda mean: nnmodel.predict_ahead_batch(top, mean[None])[0],
                           init, top.input_width)
@@ -320,8 +323,7 @@ def _stack_runner(name, kind, p, ctx: RunContext) -> Runner:
 def _e4ptrw_runner(name, kind, p, ctx: RunContext) -> Runner:
     window = p["window"]
     if window < E4PTRW_MIN_PAIRS:
-        raise ConfigError(f"estimator {name!r}: e4ptrw window must be >= "
-                          f"{E4PTRW_MIN_PAIRS}, got {window}")
+        raise ConfigError(f"e4ptrw window must be >= {E4PTRW_MIN_PAIRS}, got {window}")
     return E4ptrwRunner(name, ctx.horizon, window)
 
 
@@ -372,7 +374,8 @@ ESTIMATOR_KINDS = {
 
 
 def build_runner(name: str, kind: str, params: dict, ctx: RunContext) -> Runner:
-    """Construct a runner from its config section; see `ESTIMATOR_KINDS`."""
+    """Construct a runner from its config section; see `ESTIMATOR_KINDS`.  A
+    value its builder refuses is a `ConfigError` that names the estimator."""
     kind = kind.strip().lower()
     if kind not in ESTIMATOR_KINDS:
         raise ConfigError(f"unknown estimator kind {kind!r}")
@@ -391,7 +394,10 @@ def build_runner(name: str, kind: str, params: dict, ctx: RunContext) -> Runner:
         except (TypeError, ValueError):
             raise ConfigError(f"estimator {name!r}: {key} = {value!r} is not "
                               f"a valid {convert.__name__}") from None
-    return build(name, kind, values, ctx)
+    try:
+        return build(name, kind, values, ctx)
+    except ValueError as exc:  # ConfigError included: name the estimator
+        raise ConfigError(f"estimator {name!r}: {exc}") from exc
 
 
 class _LinearAdapter:

@@ -61,16 +61,22 @@ class Trajectory:
         return self.measurement if self.truth is None else self.truth
 
 
+# The shipped sine protocol: gen_sine's parameters in their positional order,
+# the defaults of a [trajectory] section and of `nnsse simulate`.
+SINE_DEFAULTS = {"amplitude": 10.0, "period_s": 1.0, "rate_hz": 200.0,
+                 "steps": 10_000, "noise_var": 1.0}
+
+
 def gen_sine(amplitude: float, period_s: float, rate_hz: float, steps: int,
              noise_var: float, seed: int) -> Trajectory:
     """Noisy sine: truth_i = A sin(2 pi i / (rate * period)), plus N(0, var).
 
     Identical (seed, parameters) produce a bitwise-identical trajectory.
     """
-    if not (amplitude > 0 and period_s > 0 and rate_hz > 0 and steps > 0):
-        raise ValueError("amplitude, period_s, rate_hz and steps must be positive")
-    if noise_var < 0:
-        raise ValueError("noise_var must be >= 0")
+    if not all(0 < v < math.inf for v in (amplitude, period_s, rate_hz, steps)):
+        raise ValueError("amplitude, period_s, rate_hz and steps must be finite and positive")
+    if not 0 <= noise_var < math.inf:
+        raise ValueError("noise_var must be finite and >= 0")
     i = np.arange(int(steps))
     truth = amplitude * np.sin(2.0 * np.pi * i / (rate_hz * period_s))
     rng = np.random.Generator(np.random.Philox(seed))

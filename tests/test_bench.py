@@ -289,6 +289,20 @@ def test_python_dash_m_runs_the_cli():
     assert "--parallel" in proc.stdout
 
 
+@pytest.mark.parametrize("text, message", [
+    ("{\"horizon\": 3,", "is not valid JSON"),
+    ("[]", "is not a report: missing horizon"),
+    ('{"horizon": 3, "warmup": 3, "metric": "abs_sum", "windows": [[0, 9]], '
+     '"seeds": [1]}', "is not a report: missing results"),
+])
+def test_report_on_a_malformed_report_json_is_a_config_error(text, message, tmp_path,
+                                                              capsys):
+    (tmp_path / "report.json").write_text(text, encoding="utf-8")
+    assert main(["report", "--report", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
 def test_non_finite_forecast_is_a_recorded_failure(tmp_path):
     # Every cell is finite, so the loader accepts the series, but the
     # forecasts overflow: each estimator must fail instead of reporting a

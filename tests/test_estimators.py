@@ -23,10 +23,8 @@ from nnsse.estimators import (
 )
 from nnsse.model import (
     Activation,
-    NetworkStateSpace,
     NoiseSpec,
     Topology,
-    transition_batch,
     transition_jacobian,
 )
 from nnsse.runners import RunContext, build_runner
@@ -84,10 +82,15 @@ def test_psd_sqrt_zero_matrix():
     np.testing.assert_array_equal(psd_sqrt(np.zeros((3, 3))), np.zeros((3, 3)))
 
 
-def test_psd_sqrt_semidefinite_jitter():
-    M = np.diag([1.0, 0.0])
-    L = psd_sqrt(M)
-    assert np.abs(L @ L.T - M).max() <= 1e-8
+def test_psd_sqrt_semidefinite_raises():
+    # No jitter rescues a singular matrix that is not exactly zero.
+    with pytest.raises(CovarianceDegeneracyError, match=r"2x2 .* smallest eigenvalue 0\.0"):
+        psd_sqrt(np.diag([1.0, 0.0]))
+
+
+def test_psd_sqrt_non_finite_raises():
+    with pytest.raises(CovarianceDegeneracyError, match="not finite"):
+        psd_sqrt(np.array([[1.0, np.inf], [np.inf, 1.0]]))
 
 
 def test_psd_sqrt_degenerate_raises():
@@ -329,7 +332,6 @@ def test_uke_mean_keeps_cross_covariance_term_eke_does_not():
     # order, E[f] = w.x_in + tr C_{w,x_in}; the extended step propagates the
     # plug-in f(mean) and drops the trace.
     top = Topology.weighted_sum(3, horizon_a=2)
-    model = NetworkStateSpace(top)
     n = top.state_dim
     rng = np.random.default_rng(11)
     # each weight loads 0.5 on one network input, so tr C_{w,x_in} is ~1.5
@@ -341,8 +343,8 @@ def test_uke_mean_keeps_cross_covariance_term_eke_does_not():
     cross = np.trace(belief.cov[top.weight_slice, top.network_input_slice])
     assert abs(cross) > 1.0
     noise = NoiseSpec(1e-4 * np.eye(n), 1.0, np.eye(n))
-    _, z_uke = uke_step(model, noise, belief, 0.0, UkeParams(1.0, 0.0, 0.0))
-    _, z_eke = eke_step(model, noise, belief, 0.0)
+    _, z_uke = uke_step(top, noise, belief, 0.0, UkeParams(1.0, 0.0, 0.0))
+    _, z_eke = eke_step(top, noise, belief, 0.0)
     assert z_uke == pytest.approx(w @ x_in + cross, rel=0, abs=1e-12)
     assert z_eke == pytest.approx(w @ x_in, rel=0, abs=1e-12)
 
@@ -376,8 +378,7 @@ def oracle_models():
     for label, top in (("ws25", Topology.weighted_sum(25, horizon_a=3)),
                        ("5-5-1-tanh", Topology.mlp([5, 5, 1], Activation.TANH, 3)),
                        ("5-5-5-1", Topology.mlp([5, 5, 5, 1], horizon_a=3))):
-        out.append((label, NetworkStateSpace(top), top.state_dim,
-                    lambda X, top=top: transition_batch(top, X),
+        out.append((label, top, top.state_dim, top.transition_batch,
                     lambda x, top=top: transition_jacobian(top, x)))
     uam = build_runner("UAM-UKE", "uam_uke", {}, RunContext(3, 0.005, 1))
     F = uam3_F()
@@ -436,7 +437,7 @@ def test_non_finite_prediction_raises(step):
     belief = GaussianBelief(np.full(n, 1e200), np.eye(n))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(CovarianceDegeneracyError, match="non-finite"):
-            step(NetworkStateSpace(top), NoiseSpec(np.eye(n), 1.0, np.eye(n)), belief, 0.0)
+            step(top, NoiseSpec(np.eye(n), 1.0, np.eye(n)), belief, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +458,6 @@ def test_eke_frozen_weights_equals_position_block_lke():
     # the position marginal of the extended filter must match an LKE running
     # on the position-only stack transition built from the frozen weights.
     top = Topology.weighted_sum(3, horizon_a=2)
-    model = NetworkStateSpace(top)
     n = top.state_dim
     k = top.position_count  # 4
     w = np.array([0.6, 0.3, 0.1])
@@ -481,7 +481,7 @@ def test_eke_frozen_weights_equals_position_block_lke():
     belief_pos = GaussianBelief(np.zeros(k), np.eye(k))
     for i in range(80):
         belief_pos, _ = lke_step(F_pos, noise_pos, belief_pos, z[i])
-        belief, _ = eke_step(model, noise, belief, z[i])
+        belief, _ = eke_step(top, noise, belief, z[i])
         np.testing.assert_allclose(belief.mean[:k], belief_pos.mean, atol=1e-12)
         np.testing.assert_allclose(belief.cov[:k, :k], belief_pos.cov, atol=1e-12)
         np.testing.assert_array_equal(belief.mean[k:], w)
@@ -575,6 +575,14 @@ def test_pe_bit_reproducible():
     o2, p2 = run()
     np.testing.assert_array_equal(o1, o2)
     np.testing.assert_array_equal(p1, p2)
+
+
+def test_pe_refuses_a_non_diagonal_process_noise():
+    model = LinearModel(np.eye(2))
+    noise = NoiseSpec(np.array([[1.0, 0.5], [0.5, 1.0]]), 1.0, np.eye(2))
+    parts = ParticleSet(np.zeros((4, 2)), np.full(4, 0.25))
+    with pytest.raises(ValueError, match="diagonal"):
+        pe_step(model, noise, parts, 0.0, np.random.default_rng(0))
 
 
 def test_pe_requires_two_particles():

@@ -7,18 +7,13 @@ import pytest
 
 from nnsse.model import (
     Activation,
-    NetworkStateSpace,
     NoiseSpec,
     Topology,
     TopologyKind,
     forward_batch,
-    lead_batch,
-    lead_gradient,
-    linear_part,
     predict_ahead_batch,
     transition_batch,
     transition_jacobian,
-    weight_count,
 )
 
 
@@ -93,11 +88,11 @@ def random_topologies(horizon=3):
 
 
 def test_weight_count_weighted_sum_25():
-    assert weight_count(Topology.weighted_sum(25)) == 25
+    assert Topology.weighted_sum(25).weight_count == 25
 
 
 def test_weight_count_551():
-    assert weight_count(Topology.mlp([5, 5, 1])) == 30
+    assert Topology.mlp([5, 5, 1]).weight_count == 30
 
 
 def test_weight_count_10_10_1():
@@ -105,7 +100,7 @@ def test_weight_count_10_10_1():
     widths = [10, 10, 1]
     expected = sum(widths[i] * widths[i + 1] for i in range(len(widths) - 1))
     assert expected == 110
-    assert weight_count(Topology.mlp(widths)) == 110
+    assert Topology.mlp(widths).weight_count == 110
 
 
 def test_topology_validation():
@@ -145,6 +140,20 @@ def test_noise_spec_validation():
         NoiseSpec(M, 1.0, np.eye(3))
     with pytest.raises(ValueError):
         NoiseSpec(np.eye(3), 1.0, np.eye(4))
+
+
+@pytest.mark.parametrize("Q, R, Pi0, message", [
+    (np.diag([1.0, np.nan]), 1.0, np.eye(2), "Q must be finite"),
+    (np.eye(2), 1.0, np.diag([np.inf, 1.0]), "Pi0 must be finite"),
+    (np.diag([1.0, -1e9]), 1.0, np.eye(2), "Q must have a nonnegative diagonal"),
+    (np.eye(2), 1.0, np.diag([-1.0, 1.0]), "Pi0 must have a nonnegative diagonal"),
+    (np.eye(2), np.inf, np.eye(2), "R must be finite"),
+    (np.eye(2), np.nan, np.eye(2), "R must be finite"),
+])
+def test_noise_spec_rejects_non_finite_and_negative_variances(Q, R, Pi0, message):
+    with pytest.raises(ValueError, match=message):
+        NoiseSpec(Q, R, Pi0)
+    NoiseSpec(np.zeros((2, 2)), 1.0, np.zeros((2, 2)))  # zero variances are allowed
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +395,11 @@ def test_lead_gradient_is_jacobian_row0_and_matches_finite_differences():
     step = 1e-6
     for top in random_topologies():
         st = rng.uniform(-1.0, 1.0, top.state_dim)
-        g = lead_gradient(top, st)
+        g = top.lead_gradient(st)
         np.testing.assert_array_equal(g, transition_jacobian(top, st)[0])
         hi = st + step * np.eye(top.state_dim)
         lo = st - step * np.eye(top.state_dim)
-        fd = (lead_batch(top, hi) - lead_batch(top, lo)) / (2 * step)
+        fd = (top.lead_batch(hi) - top.lead_batch(lo)) / (2 * step)
         assert np.abs(g - fd).max() <= 1e-8
 
 
@@ -400,9 +409,9 @@ def test_linear_part_is_the_jacobian_without_row0():
         A = transition_jacobian(top, rng.standard_normal(top.state_dim))
         A[0] = 0.0
         X = rng.standard_normal((4, top.state_dim))
-        np.testing.assert_array_equal(linear_part(top, X), X @ A.T)
+        np.testing.assert_array_equal(top.linear_part(X), X @ A.T)
         P = X.T @ X
-        np.testing.assert_array_equal(linear_part(top, linear_part(top, P).T),
+        np.testing.assert_array_equal(top.linear_part(top.linear_part(P).T),
                                       A @ P @ A.T)
 
 
@@ -415,7 +424,6 @@ def test_derived_sizes_are_computed_once():
 
 def test_network_state_space_adapter():
     top = Topology.weighted_sum(2, horizon_a=1)
-    m = NetworkStateSpace(top)
     st = np.array([3.0, 2.0, 1.0, 0.0])
-    np.testing.assert_allclose(m.transition_batch(st[None])[0], [3.0, 3.0, 1.0, 0.0])
-    np.testing.assert_allclose(m.lead_gradient(st), [1.0, 0.0, 3.0, 2.0])
+    np.testing.assert_allclose(top.transition_batch(st[None])[0], [3.0, 3.0, 1.0, 0.0])
+    np.testing.assert_allclose(top.lead_gradient(st), [1.0, 0.0, 3.0, 2.0])

@@ -65,9 +65,9 @@ def test_mlp_input_width_must_match_its_first_width():
         build_runner("X", "nnsse_uke", {"network": "5-5-1", "input_width": "10"}, ctx())
     for params in ({"network": "5-5-1"}, {"network": "5-5-1", "input_width": "5"}):
         runner = build_runner("X", "nnsse_uke", params, ctx())
-        assert runner.step_fn.args[0].topology.input_width == 5
+        assert runner.step_fn.args[0].input_width == 5
     ws = build_runner("X", "nnsse_eke", {}, ctx())
-    assert ws.step_fn.args[0].topology.input_width == 25
+    assert ws.step_fn.args[0].input_width == 25
 
 
 @pytest.mark.parametrize("kind, key, value", [
@@ -85,6 +85,30 @@ def test_unconvertible_value_is_a_config_error(kind, key, value, tmp_path, capsy
     assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) \
         == EXIT_CONFIG
     assert "config error: estimator 'X'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, line, message", [
+    ("nnsse_uke", "alpha = 0", "n + lambda = alpha^2 (n + kappa) must be positive"),
+    ("uam_uke", "alpha = 0", "n + lambda = alpha^2 (n + kappa) must be positive"),
+    ("nnsse_pe", "particles = 1", "particles must be >= 2"),
+    ("nnsse_pe", "particles = 0", "particles must be >= 2"),
+    ("uam_lke", "order = 5", "order must be in 1..4"),
+    ("nnsse_uke", "input_width = 0", "layer widths must be positive"),
+    ("nnsse_uke", "network = 5-0-1", "layer widths must be positive"),
+    ("nnsse_eke", "r = 0", "R must be finite and > 0"),
+    ("sine_lke", "omega = -1", "omega must be > 0"),
+    ("uam_lke", "q = nan", "Q must be finite"),
+    ("uam_lke", "q = -1e9", "Q must have a nonnegative diagonal"),
+    ("e4ptrw", "window = 4", "e4ptrw window must be >= 5"),
+])
+def test_value_the_builder_refuses_is_a_config_error(kind, line, message, tmp_path,
+                                                      capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[trajectory]\nsteps = 200\n[run]\nseeds = 1\n"
+                    f"[estimator:X]\nkind = {kind}\n{line}\n", encoding="utf-8")
+    assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: estimator 'X': {message}")
 
 
 # ---------------------------------------------------------------------------

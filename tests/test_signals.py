@@ -7,6 +7,7 @@ import pytest
 
 from nnsse.cli import EXIT_CONFIG, main
 from nnsse.signals import (
+    SINE_DEFAULTS,
     Trajectory,
     TrajectoryFormatError,
     gen_sine,
@@ -70,6 +71,23 @@ def test_gen_sine_validation():
         gen_sine(10, 1.0, 200, 0, 1.0, 0)
     with pytest.raises(ValueError):
         gen_sine(10, 1.0, 200, 10, -1.0, 0)
+
+
+def test_simulate_defaults_are_the_sine_defaults(tmp_path):
+    out = tmp_path / "sine.csv"
+    assert main(["simulate", "--steps", "40", "--out", str(out)]) == 0
+    want = gen_sine(*{**SINE_DEFAULTS, "steps": 40}.values(), 1)
+    assert load_trajectory(out).measurement.tobytes() == want.measurement.tobytes()
+
+
+@pytest.mark.parametrize("flag, value", [("--steps", "0"), ("--rate-hz", "-1"),
+                                         ("--noise-var", "-1"), ("--noise-var", "inf"),
+                                         ("--amplitude", "inf"), ("--period-s", "nan")])
+def test_simulate_bad_parameter_is_a_config_error(flag, value, tmp_path, capsys):
+    out = tmp_path / "sine.csv"
+    assert main(["simulate", flag, value, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
 
 
 def test_trajectory_validation():
