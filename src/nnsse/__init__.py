@@ -14,7 +14,6 @@ from .baselines import (
     e4ptrw_refit,
     multi_step_predict,
     stack_transition,
-    uam_predict_n,
 )
 from .bench import (
     EstimatorSpec,
@@ -45,7 +44,6 @@ from .model import (
     Activation,
     NoiseSpec,
     Topology,
-    TopologyKind,
     transition_jacobian,
 )
 from .runners import ConfigError, build_runner

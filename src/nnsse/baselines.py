@@ -42,23 +42,18 @@ E4PTRW_WINDOW = 50
 E4PTRW_MIN_PAIRS = 5
 
 
-def _companion(coeffs: np.ndarray) -> np.ndarray:
-    F = np.eye(coeffs.size, k=-1)
-    F[0] = coeffs
-    return F
-
-
 @dataclass
 class StackModel:
-    """Linear predictor over a window of past positions (newest first)."""
+    """Linear predictor over a window of past positions (newest first); F is
+    the companion matrix of its first-row coefficients."""
 
-    kind: StackKind
     coeffs: np.ndarray
     F: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
-        self.F = _companion(self.coeffs)
+        self.F = np.eye(self.coeffs.size, k=-1)
+        self.F[0] = self.coeffs
 
     @property
     def k(self) -> int:
@@ -71,7 +66,7 @@ def stack_transition(kind: StackKind) -> StackModel:
     The online-regressed kind starts from the published offline coefficients
     and is refitted by its runner via `e4ptrw_refit`.
     """
-    return StackModel(kind, np.array(STACK_COEFFS[kind]))
+    return StackModel(np.array(STACK_COEFFS[kind]))
 
 
 def e4ptrw_refit(inputs, targets) -> np.ndarray:
@@ -98,11 +93,14 @@ def e4ptrw_refit(inputs, targets) -> np.ndarray:
 
 @dataclass
 class UamModel:
-    """Polynomial-kinematics linear model of a given order (1..4)."""
+    """Polynomial-kinematics linear model of a given order (1..4), and the
+    unscented model of `estimators.uke_step` for its fixed F: ``lead_batch``
+    is row 0 of F, ``linear_part`` is A = F with row 0 zeroed."""
 
     order: int
     T: float
     F: np.ndarray = field(init=False)
+    A: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.order not in (1, 2, 3, 4):
@@ -115,19 +113,14 @@ class UamModel:
             for j in range(i, k):
                 F[i, j] = self.T ** (j - i) / math.factorial(j - i)
         self.F = F
+        self.A = F.copy()
+        self.A[0] = 0.0
 
+    def lead_batch(self, X: np.ndarray) -> np.ndarray:
+        return X @ self.F[0]
 
-def uam_predict_n(state, n: int, T: float) -> float:
-    """Closed-form n-step position forecast: Taylor sum of the present state.
-
-    Terms are included per the state length (position, velocity,
-    acceleration, jerk), and summed as x_j h^j / j! in the order j = 0, 1, ...
-    """
-    h = n * T
-    total = 0.0
-    for j, x in enumerate(np.asarray(state, dtype=float).tolist()):
-        total += x * h ** j / math.factorial(j)
-    return total
+    def linear_part(self, X: np.ndarray) -> np.ndarray:
+        return X @ self.A.T
 
 
 @dataclass
@@ -146,33 +139,32 @@ class SineModel:
         c, s = np.cos(self.omega * self.T), np.sin(self.omega * self.T)
         self.F = np.array([[c, s], [-s, c]])
 
-    def predict_n(self, state, n: int) -> float:
-        """n-step forecast: rotation by n*omega*T applied to the state."""
-        return self.forecaster(n)(state)
-
     def forecaster(self, n: int):
-        """`predict_n` bound to a horizon: cos and sin are computed once."""
+        """n-step forecast, the rotation by n*omega*T applied to the state,
+        bound to a horizon: cos and sin are computed once."""
         angle = n * self.omega * self.T
         c, s = float(np.cos(angle)), float(np.sin(angle))
-
-        def forecast(state) -> float:
-            return float(c * state[0] + s * state[1])
-
-        return forecast
+        return lambda state: float(c * state[0] + s * state[1])
 
 
 def multi_step_predict(model, state, n: int) -> float:
     """Observed coordinate after n one-step transitions.
 
-    Stack models iterate their companion matrix; kinematic and sine models
-    use their closed forms.
+    Stack models iterate their companion matrix.  A kinematic model sums the
+    Taylor terms x_j h^j / j!, h = n T, over its state (position, velocity,
+    acceleration, jerk) in the order j = 0, 1, ...; a sine model rotates by
+    n omega T.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if isinstance(model, UamModel):
-        return uam_predict_n(state, n, model.T)
+        h = n * model.T
+        total = 0.0
+        for j, x in enumerate(np.asarray(state, dtype=float).tolist()):
+            total += x * h ** j / math.factorial(j)
+        return total
     if isinstance(model, SineModel):
-        return model.predict_n(state, n)
+        return model.forecaster(n)(state)
     if isinstance(model, StackModel):
         x = np.asarray(state, dtype=float)
         for _ in range(n):

@@ -97,9 +97,14 @@ class ExperimentConfig:
         names = [e.name for e in self.estimators]
         if len(set(names)) != len(names):
             raise ConfigError("estimator names must be unique")
+        commas = [n for n in names if "," in n]  # each would split its CSV cells
+        if commas:
+            raise ConfigError(f"estimator names must not contain ',', got {commas}")
         for (s, e) in self.windows:
             if e <= s or s < 0:
                 raise ConfigError(f"invalid window {(s, e)}")
+        if len(set(map(tuple, self.windows))) != len(self.windows):
+            raise ConfigError(f"windows must be unique, got {self.windows}")
 
     def make_trajectory(self, seed: int) -> Trajectory:
         src = dict(self.trajectory)

@@ -77,10 +77,22 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _check_out_dir(path: Path) -> None:
+    """Refuse an output path that cannot be a directory before any work; it is
+    not created here, so a run its config refuses leaves no directory."""
+    try:
+        existing = next(p for p in (path, *path.absolute().parents) if p.exists())
+    except OSError as exc:
+        raise ConfigError(f"--out-dir {path}: {exc}") from None
+    if not existing.is_dir():
+        raise ConfigError(f"--out-dir {path}: {existing} is not a directory")
+
+
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seeds=[args.seed])
+    _check_out_dir(args.out_dir)
     report = run_experiment(config, audit=args.audit, parallel=args.parallel)
     written = emit_report(report, args.format, args.out_dir)
     if args.format == "table":
@@ -97,6 +109,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_report(args) -> int:
     data = load_report(args.report)
+    if args.out_dir is not None:
+        _check_out_dir(args.out_dir)
     if args.format == "table":
         text = render_table(data)
         print(text)

@@ -8,8 +8,8 @@ map x' = A x + e_0 f(x), row 0 of the fixed A being zero: ``lead_batch(X)``
 is f at each row, ``linear_part(X)`` is X A^T, ``lead_gradient(x)`` the
 gradient of f at one state (extended only) and ``transition_batch(X)`` the
 whole map of each row (particle only).  `model.Topology` implements this
-protocol for the network state, and `runners._LinearAdapter` its unscented
-part (``lead_batch``, ``linear_part``) for a fixed F.  Shared time update
+protocol for the network state, and `baselines.UamModel` its unscented part
+(``lead_batch``, ``linear_part``) for its fixed F.  Shared time update
 after Morelande & Ristic, ICASSP 2006, and Briers, Maskell & Wright,
 FUSION 2003.
 """

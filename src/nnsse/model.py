@@ -15,7 +15,9 @@ State layout for horizon ``a``, input width ``b`` and weight count ``c``
 The one-step map is x' = A x + e_0 f(x), f the network output; the fixed A
 has row 0 zero, shifts the positions down by one and keeps the weights.
 `Topology` is the model the estimators step on: its methods ``lead_batch``,
-``linear_part``, ``lead_gradient`` and ``transition_batch`` are this map."""
+``linear_part``, ``lead_gradient`` and ``transition_batch`` are this map.
+A weighted sum is no separate kind: it is the one-layer network ``(b, 1)``,
+which has no hidden layer and so no activation."""
 
 from __future__ import annotations
 
@@ -24,11 +26,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-
-
-class TopologyKind(Enum):
-    WEIGHTED_SUM = "weighted_sum"
-    MLP = "mlp"
 
 
 class Activation(Enum):
@@ -42,11 +39,10 @@ class Topology:
     one-step map of the state it lays out.
 
     ``layer_widths`` starts with the input width ``b`` and ends with the
-    output width, which must be exactly 1.  A weighted-sum topology is the
-    degenerate two-layer case ``[b, 1]`` with identity activation.
+    output width, which must be exactly 1.  The activation acts on hidden
+    layers only, so the weighted sum ``(b, 1)`` is linear whatever it names.
     """
 
-    kind: TopologyKind
     layer_widths: tuple[int, ...]
     hidden_activation: Activation = Activation.IDENTITY
     horizon_a: int = 1
@@ -59,24 +55,17 @@ class Topology:
             raise ValueError("layer widths must be positive")
         if self.layer_widths[-1] != 1:
             raise ValueError("output width must be exactly 1")
-        if self.kind is TopologyKind.WEIGHTED_SUM:
-            if len(self.layer_widths) != 2:
-                raise ValueError("weighted-sum topology has exactly two layers [b, 1]")
-            if self.hidden_activation is not Activation.IDENTITY:
-                raise ValueError("weighted-sum topology has no hidden activation")
         if self.horizon_a < 1:
             raise ValueError("horizon_a must be a positive integer")
 
     @classmethod
     def weighted_sum(cls, input_width: int, horizon_a: int = 1) -> "Topology":
-        return cls(TopologyKind.WEIGHTED_SUM, (input_width, 1),
-                   Activation.IDENTITY, horizon_a)
+        return cls((input_width, 1), Activation.IDENTITY, horizon_a)
 
     @classmethod
     def mlp(cls, layer_widths, hidden_activation: Activation = Activation.IDENTITY,
             horizon_a: int = 1) -> "Topology":
-        return cls(TopologyKind.MLP, tuple(layer_widths), hidden_activation,
-                   horizon_a)
+        return cls(tuple(layer_widths), hidden_activation, horizon_a)
 
     @property
     def input_width(self) -> int:
@@ -218,7 +207,7 @@ def forward_batch(topology: Topology, inputs: np.ndarray,
         raise ValueError(f"expected (m, {topology.input_width}) inputs and "
                          f"(m, {topology.weight_count}) weights, got "
                          f"{inputs.shape} and {weights.shape}")
-    if topology.kind is TopologyKind.WEIGHTED_SUM:
+    if len(topology.layer_widths) == 2:  # weighted sum: one dot product per row
         return np.einsum("ij,ij->i", inputs, weights)
     return _layer_outputs(topology, inputs, weights)[1][-1][:, 0]
 

@@ -192,6 +192,10 @@ def emit_report(report: RunReport, fmt: str, out_dir) -> list[Path]:
     return written
 
 
+def _missing(obj, keys, where: str = "") -> list[str]:
+    return [where + key for key in keys if not isinstance(obj, dict) or key not in obj]
+
+
 def load_report(path) -> dict:
     """Read back a persisted report.json (or the directory holding one); one
     that is not JSON or lacks a key rendering reads is a `ConfigError`."""
@@ -203,8 +207,18 @@ def load_report(path) -> dict:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{p} is not valid JSON: {exc}") from None
-    missing = [key for key in ("horizon", "warmup", "metric", "windows", "seeds", "results")
-               if not isinstance(data, dict) or key not in data]
+    missing = _missing(data, ("horizon", "warmup", "metric", "windows", "seeds", "results"))
+    for i, entry in enumerate([] if missing else data["results"]):
+        where = f"results[{i}]."
+        missing = _missing(entry, ("seed", "order", "estimators"), where)
+        if not missing:
+            rows = entry["estimators"] if isinstance(entry["estimators"], dict) else {}
+            # the median block reads the first seed's roster in every seed
+            for name in dict.fromkeys([*entry["order"], *data["results"][0]["order"]]):
+                missing += _missing(rows.get(name), ("windows", "seconds", "failure"),
+                                    f"{where}estimators[{name!r}].")
+        if missing:
+            break
     if missing:
         raise ConfigError(f"{p} is not a report: missing {', '.join(missing)}")
     return data

@@ -181,8 +181,7 @@ class E4ptrwRunner(OpenLoopStackRunner):
         self.targets[:-1] = self.targets[1:]
         self.targets[-1] = z
         if self.seen - 3 >= self.window_len:
-            self.stack = StackModel(StackKind.E4PTRW,
-                                    e4ptrw_refit(self.inputs, self.targets))
+            self.stack = StackModel(e4ptrw_refit(self.inputs, self.targets))
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +215,7 @@ def _uam_runner(name, kind, p, ctx: RunContext) -> Runner:
     if kind == "uam_lke":
         step_fn = SteadyStateLke(m.F, noise)
     else:
-        step_fn = partial(uke_step, _LinearAdapter(m.F), noise,
-                          params=_uke_params(p, m.order))
+        step_fn = partial(uke_step, m, noise, params=_uke_params(p, m.order))
     return GaussianRunner(name, a, step_fn, noise.Pi0,
                           lambda mean: multi_step_predict(m, mean, a),
                           lambda z: np.concatenate([[z], np.zeros(m.order - 1)]), m.order)
@@ -239,6 +237,9 @@ def _uke_params(p, n: int) -> UkeParams:
     return params
 
 
+_WEIGHTED_SUM = ("weighted_sum", "ws")  # spellings of the one-layer network (b, 1)
+
+
 def _parse_network(p, horizon) -> Topology:
     net = p["network"].strip().lower()
     activation = p["activation"].strip().lower()
@@ -246,7 +247,7 @@ def _parse_network(p, horizon) -> Topology:
     if act is None:
         raise ConfigError(f"unknown activation {activation!r}")
     width = p["input_width"]
-    if net in ("weighted_sum", "ws"):
+    if net in _WEIGHTED_SUM:
         if act is not Activation.IDENTITY:
             raise ConfigError("weighted_sum network has no hidden activation")
         return Topology.weighted_sum(25 if width is None else width, horizon_a=horizon)
@@ -259,22 +260,18 @@ def _parse_network(p, horizon) -> Topology:
     return Topology.mlp(widths, act, horizon_a=horizon)
 
 
-def _nnssm_init_fn(top: Topology, rng: np.random.Generator, scale: float):
+def _nnssm_init_fn(p, top: Topology, rng: np.random.Generator):
     """Initial augmented mean: position block at the first measurement.
 
-    Weighted-sum weights start as the newest-position selector (persistence
-    predictor); multilayer weights start uniform in +-scale.
+    A network spelled weighted_sum or ws starts as the newest-position
+    selector (persistence predictor); layer widths, 25-1 included, start
+    uniform in +-init_scale.
     """
-    if top.kind is nnmodel.TopologyKind.WEIGHTED_SUM:
-        w0 = np.zeros(top.weight_count)
-        w0[0] = 1.0
+    if p["network"].strip().lower() in _WEIGHTED_SUM:
+        w0 = np.eye(1, top.weight_count)[0]
     else:
-        w0 = rng.uniform(-scale, scale, top.weight_count)
-
-    def init(z: float) -> np.ndarray:
-        return np.concatenate([np.full(top.position_count, z), w0])
-
-    return init
+        w0 = rng.uniform(-p["init_scale"], p["init_scale"], top.weight_count)
+    return lambda z: np.concatenate([np.full(top.position_count, z), w0])
 
 
 def _nnsse_runner(name, kind, p, ctx: RunContext) -> Runner:
@@ -284,7 +281,7 @@ def _nnsse_runner(name, kind, p, ctx: RunContext) -> Runner:
     noise = NoiseSpec(np.diag([p["q_pos"]] * n_pos + [p["q_w"]] * c), p["r"],
                       np.diag([p["p0_pos"]] * n_pos + [p["p0_w"]] * c))
     rng = estimator_rng(ctx.seed, name)
-    init = _nnssm_init_fn(top, rng, p["init_scale"])
+    init = _nnssm_init_fn(p, top, rng)
     if kind == "nnsse_pe":
         return PeRunner(name, a, top, noise, p["particles"],
                         lambda X: nnmodel.predict_ahead_batch(top, X),
@@ -398,18 +395,3 @@ def build_runner(name: str, kind: str, params: dict, ctx: RunContext) -> Runner:
         return build(name, kind, values, ctx)
     except ValueError as exc:  # ConfigError included: name the estimator
         raise ConfigError(f"estimator {name!r}: {exc}") from exc
-
-
-class _LinearAdapter:
-    """A fixed F in the unscented map protocol: lead row F[0], A = F, row 0 zeroed."""
-
-    def __init__(self, F):
-        self.lead_row = np.asarray(F, dtype=float)[0]
-        self.A = np.array(F, dtype=float)
-        self.A[0] = 0.0
-
-    def lead_batch(self, X):
-        return X @ self.lead_row
-
-    def linear_part(self, X):
-        return X @ self.A.T

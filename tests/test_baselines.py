@@ -16,7 +16,6 @@ from nnsse.baselines import (
     e4ptrw_refit,
     multi_step_predict,
     stack_transition,
-    uam_predict_n,
 )
 from nnsse.estimators import GaussianBelief, lke_step
 from nnsse.model import NoiseSpec
@@ -27,28 +26,41 @@ from nnsse.model import NoiseSpec
 
 
 def test_uam_predict_basic():
-    assert uam_predict_n([0.0, 1.0], 2, 0.1) == pytest.approx(0.2)
+    assert multi_step_predict(UamModel(2, 0.1), [0.0, 1.0], 2) == pytest.approx(0.2)
 
 
 def test_uam_predict_with_acceleration():
     # p=1, v=0, a=2, n=3, T=1 -> 1 + 0 + 0.5*2*9 = 10
-    assert uam_predict_n([1.0, 0.0, 2.0], 3, 1.0) == pytest.approx(10.0)
+    assert multi_step_predict(UamModel(3, 1.0), [1.0, 0.0, 2.0], 3) == pytest.approx(10.0)
 
 
 def test_uam_predict_order4_adds_jerk_term():
     state3 = [1.0, 2.0, 3.0]
     jerk = 0.7
     n, T = 4, 0.25
-    base = uam_predict_n(state3, n, T)
+    base = multi_step_predict(UamModel(3, T), state3, n)
     # Taylor-series oracle for the jerk contribution
     expected = base + jerk * (n * T) ** 3 / math.factorial(3)
-    assert uam_predict_n(state3 + [jerk], n, T) == pytest.approx(expected, rel=1e-12)
+    assert multi_step_predict(UamModel(4, T), state3 + [jerk], n) == pytest.approx(
+        expected, rel=1e-12)
 
 
 def test_uam_transition_matrix_order3():
     T = 0.01
     F = UamModel(3, T).F
     np.testing.assert_allclose(F, [[1, T, T * T / 2], [0, 1, T], [0, 0, 1]])
+
+
+def test_uam_model_is_its_own_unscented_model():
+    m = UamModel(3, 0.02)
+    X = np.random.default_rng(4).standard_normal((7, 3))
+    A = m.F.copy()
+    A[0] = 0.0
+    assert m.lead_batch(X).tobytes() == (X @ m.F[0]).tobytes()
+    assert m.linear_part(X).tobytes() == (X @ A.T).tobytes()
+    assert m.linear_part(X[0]).tobytes() == (X[0] @ A.T).tobytes()
+    np.testing.assert_allclose(m.linear_part(X) + np.outer(m.lead_batch(X), np.eye(3)[0]),
+                               X @ m.F.T, rtol=1e-15)
 
 
 def test_uam_model_validation():
@@ -219,7 +231,7 @@ def test_sine_n_step_amplitude():
     m = SineModel(2 * np.pi, 0.005)
     A = 3.5
     for n in (1, 3, 10):
-        assert m.predict_n([A, 0.0], n) == pytest.approx(A * np.cos(n * m.omega * m.T))
+        assert m.forecaster(n)([A, 0.0]) == pytest.approx(A * np.cos(n * m.omega * m.T))
 
 
 def test_sine_model_validation():
@@ -272,4 +284,5 @@ def test_multi_step_requires_positive_n():
 def test_multi_step_uam_matches_closed_form():
     m = UamModel(3, 0.02)
     state = np.array([1.0, -2.0, 0.5])
-    assert multi_step_predict(m, state, 7) == pytest.approx(uam_predict_n(state, 7, 0.02))
+    expected = (np.linalg.matrix_power(m.F, 7) @ state)[0]
+    assert multi_step_predict(m, state, 7) == pytest.approx(expected)

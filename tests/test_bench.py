@@ -303,6 +303,56 @@ def test_report_on_a_malformed_report_json_is_a_config_error(text, message, tmp_
     assert err.startswith("config error: ") and message in err
 
 
+_REPORT_HEAD = ('{"horizon": 3, "warmup": 3, "metric": "abs_sum", "windows": [[0, 9]], '
+                '"seeds": [1, 2], "results": ')
+_ROW = '{"windows": {}, "seconds": 0.1, "failure": null}'
+
+
+@pytest.mark.parametrize("results, message", [
+    ("[{}]", "missing results[0].seed, results[0].order, results[0].estimators"),
+    ('[{"seed": 1, "order": ["A"], "estimators": {"A": {"windows": {}}}}]',
+     "missing results[0].estimators['A'].seconds, results[0].estimators['A'].failure"),
+    ('[{"seed": 1, "order": ["A"], "estimators": {}}]',
+     "missing results[0].estimators['A'].windows, results[0].estimators['A'].seconds, "
+     "results[0].estimators['A'].failure"),
+    (f'[{{"seed": 1, "order": ["A"], "estimators": {{"A": {_ROW}}}}}, '
+     f'{{"seed": 2, "order": ["B"], "estimators": {{"B": {_ROW}}}}}]',
+     "missing results[1].estimators['A'].windows, results[1].estimators['A'].seconds, "
+     "results[1].estimators['A'].failure"),
+])
+def test_report_on_incomplete_results_is_a_config_error(results, message, tmp_path,
+                                                        capsys):
+    (tmp_path / "report.json").write_text(_REPORT_HEAD + results + "}", encoding="utf-8")
+    assert main(["report", "--report", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: {tmp_path / 'report.json'} is not a report: {message}\n"
+
+
+def test_run_and_report_refuse_an_out_dir_that_is_a_file(tmp_path, capsys, monkeypatch):
+    import nnsse.cli
+
+    path = tmp_path / "run.ini"
+    path.write_text("[trajectory]\nsteps = 200\n[run]\nseeds = 1\n"
+                    "[estimator:E2P]\nkind = stack\nstack = E2P\n", encoding="utf-8")
+    assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n", encoding="utf-8")
+    monkeypatch.setattr(nnsse.cli, "run_experiment", None)  # refused before the run
+    for out in (afile, afile / "sub"):
+        assert main(["run", "--config", str(path), "--out-dir", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"config error: --out-dir {out}: {afile} is not a directory\n"
+        for fmt in ("table", "csv"):
+            argv = ["report", "--report", str(tmp_path / "out"), "--format", fmt,
+                    "--out-dir", str(out)]
+            assert main(argv) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"config error: --out-dir {out}: {afile} is not a directory\n"
+    assert afile.read_text(encoding="utf-8") == "keep\n"
+
+
 def test_non_finite_forecast_is_a_recorded_failure(tmp_path):
     # Every cell is finite, so the loader accepts the series, but the
     # forecasts overflow: each estimator must fail instead of reporting a
@@ -347,7 +397,7 @@ def _e4ptrw_pairs_oracle(z, horizon, window_len):
         if len(recent) < 4:
             out.append(v)
             continue
-        stack = StackModel(StackKind.E4PTRW, coeffs)
+        stack = StackModel(coeffs)
         out.append(multi_step_predict(stack, np.array(list(recent)[:4]), horizon))
     return np.array(out)
 
@@ -672,6 +722,24 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys):
 def test_unknown_trajectory_and_run_keys_are_config_errors(section, message, tmp_path,
                                                            capsys):
     assert _config_error(section + _UAM_LKE_ROW, tmp_path, capsys) == message
+
+
+def test_estimator_name_with_a_comma_is_a_config_error(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="must not contain ','"):
+        sine_config([EstimatorSpec("UAM,LKE", "uam_lke", {})])
+    text = "[trajectory]\nsteps = 300\n[run]\nseeds = 1\n[estimator:UAM,LKE]\nkind = uam_lke\n"
+    assert _config_error(text, tmp_path, capsys) == \
+        "estimator names must not contain ',', got ['UAM,LKE']"
+
+
+def test_duplicate_windows_are_a_config_error(tmp_path, capsys):
+    spec = [EstimatorSpec("A", "uam_lke", {})]
+    with pytest.raises(ConfigError, match="unique"):
+        sine_config(spec, steps=300, windows=((0, 200), (100, 300), (0, 200)))
+    sine_config(spec, steps=300, windows=((0, 200), (0, 300)))
+    text = f"[trajectory]\nsteps = 300\n[run]\nwindows = 0:200 0:200\n{_UAM_LKE_ROW}"
+    assert _config_error(text, tmp_path, capsys) == \
+        "windows must be unique, got [(0, 200), (0, 200)]"
 
 
 def test_whole_float_steps_and_zero_noise_are_accepted(tmp_path):

@@ -9,7 +9,7 @@ from nnsse.model import (
     Activation,
     NoiseSpec,
     Topology,
-    TopologyKind,
+    _layer_outputs,
     forward_batch,
     predict_ahead_batch,
     transition_batch,
@@ -106,10 +106,6 @@ def test_weight_count_10_10_1():
 def test_topology_validation():
     with pytest.raises(ValueError):
         Topology.mlp([5, 5, 2])  # output width must be 1
-    with pytest.raises(ValueError):
-        Topology(TopologyKind.WEIGHTED_SUM, (5, 5, 1))
-    with pytest.raises(ValueError):
-        Topology(TopologyKind.WEIGHTED_SUM, (5, 1), Activation.TANH)
     with pytest.raises(ValueError):
         Topology.weighted_sum(5, horizon_a=0)
     with pytest.raises(ValueError):
@@ -220,6 +216,20 @@ def test_forward_weighted_sum_linearity():
         rhs = a * forward_one(top, u, w) + b * forward_one(top, v, w)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
         assert forward_one(top, u, a * w) == pytest.approx(a * forward_one(top, u, w), rel=1e-12, abs=1e-12)
+
+
+def test_one_layer_network_is_the_weighted_sum_bitwise():
+    rng = np.random.default_rng(5)
+    for b in (5, 25):
+        ws, one_layer = Topology.weighted_sum(b), Topology.mlp([b, 1])
+        assert one_layer == ws
+        for rows in (1, 2 * ws.state_dim + 1, 1000):
+            X = rng.standard_normal((rows, b))
+            W = rng.standard_normal((rows, b))
+            fast = forward_batch(one_layer, X, W)
+            assert fast.tobytes() == forward_batch(ws, X, W).tobytes()
+            # the one-dot-product path equals the general layer loop it skips
+            assert fast.tobytes() == _layer_outputs(ws, X, W)[1][-1][:, 0].tobytes()
 
 
 def test_forward_batch_matches_scalar():

@@ -14,7 +14,7 @@ from nnsse.cli import EXIT_CONFIG, main
 from nnsse.config import load_config
 from nnsse.estimators import GaussianBelief, UkeParams, lke_step
 from nnsse.model import Topology
-from nnsse.runners import ConfigError, RunContext, build_runner
+from nnsse.runners import ConfigError, RunContext, build_runner, estimator_rng
 from nnsse.signals import gen_sine
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -100,6 +100,7 @@ def test_unconvertible_value_is_a_config_error(kind, key, value, tmp_path, capsy
     ("uam_lke", "q = nan", "Q must be finite"),
     ("uam_lke", "q = -1e9", "Q must have a nonnegative diagonal"),
     ("e4ptrw", "window = 4", "e4ptrw window must be >= 5"),
+    ("nnsse_uke", "activation = tanh", "weighted_sum network has no hidden activation"),
 ])
 def test_value_the_builder_refuses_is_a_config_error(kind, line, message, tmp_path,
                                                       capsys):
@@ -109,6 +110,22 @@ def test_value_the_builder_refuses_is_a_config_error(kind, line, message, tmp_pa
     assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) \
         == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: estimator 'X': {message}")
+
+
+@pytest.mark.parametrize("kind", ["nnsse_uke", "nnsse_pe"])
+def test_initial_weights_follow_the_network_spelling(kind):
+    # weighted_sum and 25-1 are the same network; only the spelling picks the
+    # newest-position selector over the uniform draw from the estimator's stream
+    selector = np.zeros(25)
+    selector[0] = 1.0
+    for spelling in ("weighted_sum", "WS"):
+        runner = build_runner("X", kind, {"network": spelling}, ctx())
+        assert runner.init_mean_fn(2.5)[-25:].tobytes() == selector.tobytes()
+    runner = build_runner("X", kind, {"network": "25-1", "init_scale": "0.3"}, ctx())
+    draw = estimator_rng(1, "X").uniform(-0.3, 0.3, 25)
+    mean = runner.init_mean_fn(2.5)
+    assert mean[-25:].tobytes() == draw.tobytes()
+    assert (mean[:-25] == 2.5).all()
 
 
 # ---------------------------------------------------------------------------
