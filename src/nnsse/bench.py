@@ -21,13 +21,17 @@ Up to 5 x 5 the audit and this screen run inline on Python floats, from 6 x 6
 through LAPACK.  Only the first step and a failed factorisation run
 ``eigvalsh``.  A read-only P folded in once (the frozen covariance of a
 steady-state linear filter) is skipped while its bytes stay the same.
+
+The covariance schedule of a linear filter (`SteadyStateLke`) reads no data,
+so the seeds of one `run_experiment` call share it: one schedule dict for the
+serial seed loop, one per pool worker.  Pools live for one call, and no
+schedule outlives the call, so every run recomputes its own.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -308,14 +312,16 @@ class CovarianceAudit:
         return True
 
 
-def run_single_seed(config: ExperimentConfig, seed: int, audit: bool = False) -> SeedRun:
-    """Execute the full roster on one seed's trajectory."""
+def run_single_seed(config: ExperimentConfig, seed: int, audit: bool = False,
+                    lke_schedules: dict | None = None) -> SeedRun:
+    """Execute the full roster on one seed's trajectory; the linear filters
+    share ``lke_schedules`` (see `SteadyStateLke`) when one is given."""
     traj = config.make_trajectory(seed)
     n = len(traj)
     a = config.horizon
     sine = traj.meta.get("source") == "sine"
     omega = 2.0 * np.pi / traj.meta["period_s"] if sine else None
-    ctx = RunContext(a, traj.sample_period, seed, omega)
+    ctx = RunContext(a, traj.sample_period, seed, omega, lke_schedules)
     runners = [build_runner(e.name, e.kind, e.params, ctx) for e in config.estimators]
     warmup = resolve_warmup(config, runners)
     first_target = warmup + a
@@ -376,23 +382,47 @@ def run_single_seed(config: ExperimentConfig, seed: int, audit: bool = False) ->
     return SeedRun(seed, traj, [r.name for r in runners], a, warmup, results)
 
 
+# The schedules shared by the seeds one pool worker runs.  Tasks reach them
+# only through module state; `run_experiment` clears it around each pool.
+_worker_schedules: dict | None = None
+
+
 def _seed_worker(args):
+    global _worker_schedules
     config, seed, audit = args
-    return run_single_seed(config, seed, audit)
+    if _worker_schedules is None:
+        _worker_schedules = {}
+    return run_single_seed(config, seed, audit, _worker_schedules)
+
+
+def __getattr__(name):
+    # The pool class loads on first use, so `import nnsse` does not load
+    # `concurrent.futures.process` and `multiprocessing`.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def run_experiment(config: ExperimentConfig, audit: bool = False,
                    parallel: int = 1) -> RunReport:
     """Run every (seed, estimator) pair, seeds on up to `parallel` processes."""
+    global _worker_schedules
     if parallel < 1:
         raise ConfigError(f"parallel must be >= 1, got {parallel}")
     workers = min(parallel, len(config.seeds))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            seed_runs = list(pool.map(_seed_worker,
-                                      [(config, s, audit) for s in config.seeds]))
+        from .bench import ProcessPoolExecutor  # through __getattr__ or a patch
+        _worker_schedules = None  # forked workers start without schedules
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                seed_runs = list(pool.map(_seed_worker,
+                                          [(config, s, audit) for s in config.seeds]))
+        finally:
+            _worker_schedules = None  # set if the pool ran here
     else:
-        seed_runs = [run_single_seed(config, s, audit) for s in config.seeds]
+        schedules: dict = {}
+        seed_runs = [run_single_seed(config, s, audit, schedules) for s in config.seeds]
     warmup = seed_runs[0].warmup
     return RunReport(config.echo(), config.horizon, warmup, config.metric,
                      list(config.windows), seed_runs)

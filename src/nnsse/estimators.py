@@ -12,6 +12,11 @@ protocol for the network state, and `baselines.UamModel` its unscented part
 (``lead_batch``, ``linear_part``) for its fixed F.  Shared time update
 after Morelande & Ristic, ICASSP 2006, and Briers, Maskell & Wright,
 FUSION 2003.
+
+The linear variant's covariance and gain recursion reads no data, so
+`SteadyStateLke` computes it once per (F, Q, R, P_0) as a schedule of
+read-only covariances that every chain from the same start shares, up to
+its bitwise fixed point; the other chains only update their means.
 """
 
 from __future__ import annotations
@@ -37,7 +42,10 @@ class DegenerateLikelihoodError(EstimatorError):
 
 
 def _symmetrized(M: np.ndarray) -> np.ndarray:
-    return (M + M.T) / 2.0
+    """(M + M^T) / 2 in one new array."""
+    S = M + M.T
+    S /= 2.0
+    return S
 
 
 @dataclass
@@ -153,15 +161,19 @@ def _mean_update(x_pred: np.ndarray, K: np.ndarray, z: float):
 
 def _scalar_update(x_pred: np.ndarray, P_pred: np.ndarray, R: float, z: float):
     """Shared measurement update for the observation z = x[0] + noise; returns
-    (posterior belief, predicted observation)."""
+    (posterior belief, predicted observation).  The posterior covariance
+    P - K P[:, 0]^T is built in P_pred's buffer, then symmetrized."""
     K = _gain(P_pred, R)
     mean, z_hat = _mean_update(x_pred, K, z)
-    return GaussianBelief(mean, P_pred - K[:, None] * P_pred[:, 0]), z_hat
+    P_pred -= np.multiply.outer(K, P_pred[:, 0])
+    return GaussianBelief._presymmetrized(mean, _symmetrized(P_pred)), z_hat
 
 
 def _lke_prior_cov(F: np.ndarray, noise: NoiseSpec, cov: np.ndarray) -> np.ndarray:
     """Predicted covariance F P F^T + Q, symmetrized."""
-    return _symmetrized(F @ cov @ F.T + noise.Q)
+    P_pred = F @ cov @ F.T
+    P_pred += noise.Q
+    return _symmetrized(P_pred)
 
 
 def lke_step(F: np.ndarray, noise: NoiseSpec, belief: GaussianBelief, z: float):
@@ -176,43 +188,107 @@ def lke_step(F: np.ndarray, noise: NoiseSpec, belief: GaussianBelief, z: float):
     return posterior, z - z_hat
 
 
+class _LkeSchedule:
+    """Read-only posterior covariances P_0, P_1, ... of one linear filter from
+    one start P_0, and the gains K_k of the steps k-1 -> k (None until
+    derived).  ``complete`` once the last entry repeats the one before it,
+    bit for bit and finite."""
+
+    def __init__(self, start: np.ndarray):
+        self.covs = [start]
+        self.gains: list[np.ndarray | None] = [None]
+        self.complete = False
+
+
 class SteadyStateLke:
-    """`lke_step` bound to (F, noise) that stops the covariance recursion at
-    its fixed point; called as ``step(belief, z) -> (posterior, innovation)``.
+    """`lke_step` bound to (F, noise), with the covariance recursion run once
+    per start; called as ``step(belief, z) -> (posterior, innovation)``.
 
     The covariance and gain recursion of a linear filter never reads the
-    data.  A call runs `lke_step` until a posterior covariance equals the
-    covariance it was computed from, bit for bit.  That covariance is then
-    kept, read-only, with the gain K of the step that repeated it: by
-    induction both are what every later step would compute.  A belief that
-    carries the kept covariance therefore steps as x = F m, m' = x + K (z -
-    x[0]), through the same `_mean_update` as `lke_step`, and its posterior
-    shares the kept covariance.  Any other belief goes through `lke_step`.
-    Posteriors and innovations stay bitwise those of plain `lke_step`.
+    data (Anderson & Moore, Optimal Filtering, 1979).  So every chain of
+    beliefs from one start P_0 walks one schedule of read-only posterior
+    covariances P_1, P_2, ...  Schedules live in ``schedules``, a dict keyed
+    by the bytes of (F, Q, R, P_0) that all filters of one experiment run
+    share; without one, the instance keeps its own.  The first chain to
+    reach entry k computes it through `lke_step`.  Every other chain steps
+    its mean as x = F m, m' = x + K_k (z - x[0]), through the same
+    `_mean_update` as `lke_step`, and its posterior shares P_k.  K_k is
+    `_gain` of the prior of P_{k-1}, derived once: bitwise the gain
+    `lke_step` used.  The schedule stops growing at its fixed point, an
+    entry equal to the one before it, bit for bit; by induction every later
+    entry and gain repeats it.  Posteriors and innovations stay bitwise
+    those of plain `lke_step`.
 
+    A belief continues its chain when its covariance is the entry the last
+    posterior carried; any other belief starts a chain at its covariance.
     Only exact equality freezes, never a tolerance.  A covariance that is
     not finite never freezes, and a recursion that settles into a round-off
-    limit cycle never does either.  Whether and at which step the fixed
-    point is reached is a property of the BLAS build.
+    limit cycle never does either: its schedule grows by one entry a step.
+    Whether and at which step the fixed point is reached is a property of
+    the BLAS build.
     """
 
-    def __init__(self, F: np.ndarray, noise: NoiseSpec):
+    def __init__(self, F: np.ndarray, noise: NoiseSpec, schedules: dict | None = None):
         self.F = np.asarray(F, dtype=float)
         self.noise = noise
-        self.cov: np.ndarray | None = None   # the fixed point, once reached
-        self.gain: np.ndarray | None = None  # K of the step that repeated it
+        self._schedules = {} if schedules is None else schedules
+        self._key = (self.F.shape, self.F.tobytes(), noise.Q.tobytes(), noise.R.hex())
+        self._schedule: _LkeSchedule | None = None
+        self._k = 0                             # entry of the last posterior
+        self._at: np.ndarray | None = None      # that entry
+
+    @property
+    def cov(self) -> np.ndarray | None:
+        """The fixed point, once this chain has reached it."""
+        s = self._schedule
+        if s is None or not s.complete or self._at is not s.covs[-1]:
+            return None
+        return self._at
+
+    @property
+    def gain(self) -> np.ndarray | None:
+        """K of the step that repeated the fixed point, once reached."""
+        if self.cov is None:
+            return None
+        gains, k = self._schedule.gains, self._k
+        if gains[k] is None:
+            gains[k] = self._gain_after(self._schedule.covs[k - 1])
+        return gains[k]
+
+    def _gain_after(self, P: np.ndarray) -> np.ndarray:
+        """The gain of the step from posterior covariance P."""
+        return _gain(_lke_prior_cov(self.F, self.noise, P), self.noise.R)
+
+    def _start(self, cov: np.ndarray) -> None:
+        key = (self._key, cov.tobytes())
+        if key not in self._schedules:
+            start = cov.copy()
+            start.setflags(write=False)
+            self._schedules[key] = _LkeSchedule(start)
+        self._schedule, self._k = self._schedules[key], 0
 
     def __call__(self, belief: GaussianBelief, z: float):
-        if belief.cov is not self.cov:
-            posterior, innovation = lke_step(self.F, self.noise, belief, z)
-            P = posterior.cov
-            if P.tobytes() == belief.cov.tobytes() and np.isfinite(P).all():
-                self.gain = _gain(_lke_prior_cov(self.F, self.noise, P), self.noise.R)
-                P.flags.writeable = False
-                self.cov = P
-            return posterior, innovation
-        mean, z_hat = _mean_update(self.F @ belief.mean, self.gain, z)
-        return GaussianBelief._presymmetrized(mean, self.cov), z - z_hat
+        if belief.cov is not self._at:
+            self._start(belief.cov)
+        s = self._schedule
+        covs, gains, k = s.covs, s.gains, self._k + 1
+        if k == len(covs) and s.complete:
+            k -= 1  # the fixed point repeats
+        if k < len(covs):
+            K = gains[k]
+            if K is None:
+                K = gains[k] = self._gain_after(covs[k - 1])
+            mean, z_hat = _mean_update(self.F @ belief.mean, K, z)
+            self._k, self._at = k, covs[k]
+            return GaussianBelief._presymmetrized(mean, self._at), z - z_hat
+        posterior, innovation = lke_step(self.F, self.noise, belief, z)
+        P = posterior.cov
+        P.setflags(write=False)
+        s.complete = P.tobytes() == belief.cov.tobytes() and bool(np.isfinite(P).all())
+        covs.append(P)
+        gains.append(None)
+        self._k, self._at = k, P
+        return posterior, innovation
 
 
 def _partially_linear_step(model, noise: NoiseSpec, belief: GaussianBelief,

@@ -196,9 +196,55 @@ def _missing(obj, keys, where: str = "") -> list[str]:
     return [where + key for key in keys if not isinstance(obj, dict) or key not in obj]
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _report_fault(data) -> str | None:
+    """The first key or type in data that `render_table` and
+    `write_summary_csv` cannot read, or None."""
+    missing = _missing(data, ("horizon", "warmup", "metric", "windows", "seeds", "results"))
+    if missing:
+        return "missing " + ", ".join(missing)
+    windows = data["windows"]
+    if not (isinstance(windows, list) and all(
+            isinstance(w, list) and len(w) == 2 and all(map(_number, w)) for w in windows)):
+        return "windows must be a list of [start, end] number pairs"
+    for key in ("seeds", "results"):
+        if not isinstance(data[key], list):
+            return f"{key} must be a list"
+    for i, entry in enumerate(data["results"]):
+        where = f"results[{i}]."
+        missing = _missing(entry, ("seed", "order", "estimators"), where)
+        if missing:
+            return "missing " + ", ".join(missing)
+        order = entry["order"]
+        if not (isinstance(order, list) and all(isinstance(n, str) for n in order)):
+            return f"{where}order must be a list of strings"
+        rows = entry["estimators"] if isinstance(entry["estimators"], dict) else {}
+        # the median block reads the first seed's roster in every seed, and
+        # the scale every row's window errors
+        names = dict.fromkeys([*order, *data["results"][0]["order"], *rows])
+        missing = [m for name in names for m in _missing(
+            rows.get(name), ("windows", "seconds", "failure"), f"{where}estimators[{name!r}].")]
+        if missing:
+            return "missing " + ", ".join(missing)
+        for name in names:
+            row, at = rows[name], f"{where}estimators[{name!r}]."
+            errors = row["windows"]
+            if not (isinstance(errors, dict) and all(map(_number, errors.values()))):
+                return f"{at}windows must map window labels to numbers"
+            if not _number(row["seconds"]):
+                return f"{at}seconds must be a number"
+            if not (row["failure"] is None or isinstance(row["failure"], str)):
+                return f"{at}failure must be a string or null"
+    return None
+
+
 def load_report(path) -> dict:
     """Read back a persisted report.json (or the directory holding one); one
-    that is not JSON or lacks a key rendering reads is a `ConfigError`."""
+    that is not JSON, or lacks a key rendering reads or holds it with the
+    wrong type, is a `ConfigError`."""
     p = Path(path)
     if p.is_dir():
         p = p / "report.json"
@@ -207,18 +253,7 @@ def load_report(path) -> dict:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{p} is not valid JSON: {exc}") from None
-    missing = _missing(data, ("horizon", "warmup", "metric", "windows", "seeds", "results"))
-    for i, entry in enumerate([] if missing else data["results"]):
-        where = f"results[{i}]."
-        missing = _missing(entry, ("seed", "order", "estimators"), where)
-        if not missing:
-            rows = entry["estimators"] if isinstance(entry["estimators"], dict) else {}
-            # the median block reads the first seed's roster in every seed
-            for name in dict.fromkeys([*entry["order"], *data["results"][0]["order"]]):
-                missing += _missing(rows.get(name), ("windows", "seconds", "failure"),
-                                    f"{where}estimators[{name!r}].")
-        if missing:
-            break
-    if missing:
-        raise ConfigError(f"{p} is not a report: missing {', '.join(missing)}")
+    fault = _report_fault(data)
+    if fault:
+        raise ConfigError(f"{p} is not a report: {fault}")
     return data

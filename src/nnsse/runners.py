@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -70,13 +70,15 @@ class GaussianRunner(Runner):
     """Kalman-family runner: one step function over a Gaussian belief.
 
     ``step_fn(belief, z)`` returns (posterior, innovation or predicted
-    observation).  The linear kinds pass a `SteadyStateLke`, which is
-    `lke_step` until the covariance recursion reaches its fixed point and a
-    constant-gain mean update after it; UKE and EKE pass `uke_step` or
-    `eke_step` with model and noise bound.  The forecast is the plug-in
-    ``predict_fn(posterior mean)``, with model and horizon bound at build
-    time, not the unscented expectation of the forecast map; `PeRunner`
-    instead forecasts the weighted average of the per-particle forecasts.
+    observation).  The linear kinds pass a `SteadyStateLke`: `lke_step` on
+    the first runner of a run to reach each step of its data-free covariance
+    schedule, shared through ``RunContext.lke_schedules``, and a mean update
+    with that step's gain on every other runner and past the fixed point;
+    UKE and EKE pass `uke_step` or `eke_step` with model and noise bound.
+    The forecast is the plug-in ``predict_fn(posterior mean)``, with model
+    and horizon bound at build time, not the unscented expectation of the
+    forecast map; `PeRunner` instead forecasts the weighted average of the
+    per-particle forecasts.
     """
 
     def __init__(self, name, horizon, step_fn, P0, predict_fn, init_mean_fn,
@@ -190,12 +192,15 @@ class E4ptrwRunner(OpenLoopStackRunner):
 
 @dataclass(frozen=True)
 class RunContext:
-    """Trajectory-level facts shared by all runners of one run."""
+    """Trajectory-level facts shared by all runners of one run, and the
+    `SteadyStateLke` schedules it shares with the other seeds of its
+    experiment (None: each linear runner keeps a private one)."""
 
     horizon: int
     sample_period: float
     seed: int
     sine_omega: float | None = None
+    lke_schedules: dict | None = field(default=None, compare=False, repr=False)
 
 
 def _uam_noise(m: UamModel, q: float, r: float, p0: float) -> NoiseSpec:
@@ -213,7 +218,7 @@ def _uam_runner(name, kind, p, ctx: RunContext) -> Runner:
     m = UamModel(p["order"], ctx.sample_period)
     noise = _uam_noise(m, p["q"], p["r"], p["p0"])
     if kind == "uam_lke":
-        step_fn = SteadyStateLke(m.F, noise)
+        step_fn = SteadyStateLke(m.F, noise, ctx.lke_schedules)
     else:
         step_fn = partial(uke_step, m, noise, params=_uke_params(p, m.order))
     return GaussianRunner(name, a, step_fn, noise.Pi0,
@@ -226,8 +231,8 @@ def _sine_runner(name, kind, p, ctx: RunContext) -> Runner:
     omega = float(ctx.sine_omega or 1.0) if p["omega"] is None else p["omega"]
     m = SineModel(omega, ctx.sample_period)
     noise = NoiseSpec(p["q"] * np.eye(2), p["r"], p["p0"] * np.eye(2))
-    return GaussianRunner(name, a, SteadyStateLke(m.F, noise), noise.Pi0, m.forecaster(a),
-                          lambda z: np.array([z, 0.0]), 2)
+    return GaussianRunner(name, a, SteadyStateLke(m.F, noise, ctx.lke_schedules), noise.Pi0,
+                          m.forecaster(a), lambda z: np.array([z, 0.0]), 2)
 
 
 def _uke_params(p, n: int) -> UkeParams:
@@ -248,15 +253,16 @@ def _parse_network(p, horizon) -> Topology:
         raise ConfigError(f"unknown activation {activation!r}")
     width = p["input_width"]
     if net in _WEIGHTED_SUM:
-        if act is not Activation.IDENTITY:
-            raise ConfigError("weighted_sum network has no hidden activation")
-        return Topology.weighted_sum(25 if width is None else width, horizon_a=horizon)
-    try:
-        widths = [int(w) for w in net.replace("x", "-").split("-")]
-    except ValueError:
-        raise ConfigError(f"cannot parse network spec {net!r}") from None
-    if width is not None and width != widths[0]:
-        raise ConfigError(f"input_width {width} is not the first width of {net!r}")
+        widths = [25 if width is None else width, 1]
+    else:
+        try:
+            widths = [int(w) for w in net.replace("x", "-").split("-")]
+        except ValueError:
+            raise ConfigError(f"cannot parse network spec {net!r}") from None
+        if width is not None and width != widths[0]:
+            raise ConfigError(f"input_width {width} is not the first width of {net!r}")
+    if len(widths) == 2 and act is not Activation.IDENTITY:
+        raise ConfigError(f"{net} network has no hidden activation")
     return Topology.mlp(widths, act, horizon_a=horizon)
 
 
@@ -312,7 +318,7 @@ def _stack_runner(name, kind, p, ctx: RunContext) -> Runner:
         raise ConfigError(f"unknown stack mode {mode!r}")
     k = stack.k
     noise = NoiseSpec(p["q"] * np.eye(k), p["r"], p["p0"] * np.eye(k))
-    return GaussianRunner(name, a, SteadyStateLke(stack.F, noise), noise.Pi0,
+    return GaussianRunner(name, a, SteadyStateLke(stack.F, noise, ctx.lke_schedules), noise.Pi0,
                           lambda mean: multi_step_predict(stack, mean, a),
                           lambda z: np.full(k, z), k)
 

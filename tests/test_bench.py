@@ -28,6 +28,7 @@ from nnsse.bench import (
     run_single_seed,
 )
 from nnsse.cli import EXIT_CONFIG, EXIT_ESTIMATOR_FAILURE, main
+from nnsse.estimators import GaussianBelief, SteadyStateLke, lke_step
 from nnsse.model import Topology
 from nnsse.runners import ConfigError, RunContext, Runner, build_runner
 from nnsse.signals import Trajectory, gen_sine, save_trajectory
@@ -221,13 +222,15 @@ def test_runs_are_deterministic_across_calls():
 
 def test_parallel_seed_execution_matches_sequential():
     spec = [EstimatorSpec("E4P", "stack", {"stack": "E4P"}),
-            EstimatorSpec("E4PTRW", "e4ptrw", {})]
+            EstimatorSpec("E4PTRW", "e4ptrw", {}),
+            EstimatorSpec("UAM-LKE", "uam_lke", {}),
+            EstimatorSpec("Sin", "sine_lke", {})]
     cfg = sine_config(spec, steps=400, windows=((0, 400),), seeds=(1, 2, 3))
     seq = run_experiment(cfg, parallel=1)
     par = run_experiment(cfg, parallel=2)
     for rs, rp in zip(seq.seed_runs, par.seed_runs):
         assert rs.seed == rp.seed
-        for name in ("E4P", "E4PTRW"):
+        for name in ("E4P", "E4PTRW", "UAM-LKE", "Sin"):
             np.testing.assert_array_equal(rs.results[name].predictions,
                                           rp.results[name].predictions)
 
@@ -256,6 +259,104 @@ def test_worker_pool_is_capped_at_the_seed_count(monkeypatch):
     assert [r.seed for r in run_experiment(two, parallel=8).seed_runs] == [1, 2]
     run_experiment(sine_config(spec, steps=200, windows=((0, 200),)), parallel=8)
     assert requested == [2]
+
+
+class InProcessPool:
+    """Stand-in pool that maps in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+LINEAR_ROSTER = [EstimatorSpec(f"UAM{k}", "uam_lke", {"order": str(k)}) for k in (1, 2, 3, 4)] + [
+    EstimatorSpec("Sin", "sine_lke", {}),
+    EstimatorSpec("E4P-LKE", "stack", {"stack": "E4P", "mode": "lke"})]
+
+
+def test_seeds_of_a_run_share_linear_schedules_bitwise(monkeypatch):
+    plain_call = SteadyStateLke.__call__
+    steps = []
+
+    def recording(self, belief, z):
+        posterior, innovation = plain_call(self, belief, z)
+        steps.append((posterior.mean.tobytes(), posterior.cov.tobytes(),
+                       float(innovation).hex()))
+        return posterior, innovation
+
+    monkeypatch.setattr(SteadyStateLke, "__call__", recording)
+    cfg = sine_config(LINEAR_ROSTER, steps=600, windows=((0, 600),), seeds=(1, 2, 3))
+    shared = run_experiment(cfg).seed_runs
+    shared_steps, steps[:] = steps[:], []
+    alone = [run_single_seed(cfg, seed) for seed in cfg.seeds]
+    assert len(shared_steps) == 3 * 6 * 599 and shared_steps == steps
+    for a, b in zip(shared, alone):
+        for spec in LINEAR_ROSTER:
+            assert (a.results[spec.name].predictions.tobytes()
+                    == b.results[spec.name].predictions.tobytes())
+
+
+def _calls_until_fixed_point(runner, z) -> int:
+    """`lke_step` calls of a private schedule: up to the step whose posterior
+    covariance repeats its prior, or every step."""
+    belief = GaussianBelief(runner.init_mean_fn(z[0]), runner.P0)
+    for i in range(1, z.size):
+        posterior, _ = lke_step(runner.step_fn.F, runner.step_fn.noise, belief, z[i])
+        if posterior.cov.tobytes() == belief.cov.tobytes():
+            return i
+        belief = posterior
+    return z.size - 1
+
+
+@pytest.mark.parametrize("pool", [None, InProcessPool], ids=["serial", "in-process-pool"])
+def test_only_the_first_seed_of_each_run_calls_lke_step(pool, monkeypatch):
+    import nnsse.bench
+    import nnsse.estimators
+
+    cfg = sine_config(LINEAR_ROSTER, steps=600, windows=((0, 600),), seeds=(1, 2, 3))
+    traj = cfg.make_trajectory(1)
+    ctx = RunContext(cfg.horizon, traj.sample_period, 1, 2.0 * np.pi)
+    today = sum(_calls_until_fixed_point(build_runner(s.name, s.kind, s.params, ctx),
+                                         traj.measurement) for s in LINEAR_ROSTER)
+    calls, seed = {}, [None]
+    plain_step, plain_seed = nnsse.estimators.lke_step, nnsse.bench.run_single_seed
+
+    def counting_step(*args):
+        calls[seed[0]] = calls.get(seed[0], 0) + 1
+        return plain_step(*args)
+
+    def seed_run(config, s, *args):
+        seed[0] = s
+        return plain_seed(config, s, *args)
+
+    monkeypatch.setattr(nnsse.estimators, "lke_step", counting_step)
+    monkeypatch.setattr(nnsse.bench, "run_single_seed", seed_run)
+    if pool is not None:
+        monkeypatch.setattr(nnsse.bench, "ProcessPoolExecutor", pool)
+    for _ in range(2):  # a second run recomputes: no schedule outlives its run
+        calls.clear()
+        run_experiment(cfg, parallel=1 if pool is None else 2)
+        assert calls == {1: today}
+    assert today > 599  # the sine filter never freezes
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys, nnsse\n"
+            "assert 'concurrent.futures.process' not in sys.modules\n"
+            "assert nnsse.bench.ProcessPoolExecutor.__module__ == 'concurrent.futures.process'\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("parallel", [0, -2])
@@ -323,6 +424,30 @@ _ROW = '{"windows": {}, "seconds": 0.1, "failure": null}'
 def test_report_on_incomplete_results_is_a_config_error(results, message, tmp_path,
                                                         capsys):
     (tmp_path / "report.json").write_text(_REPORT_HEAD + results + "}", encoding="utf-8")
+    assert main(["report", "--report", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: {tmp_path / 'report.json'} is not a report: {message}\n"
+
+
+def _one_row(row: str, order: str = '["A"]') -> str:
+    return f'[{{"seed": 1, "order": {order}, "estimators": {{"A": {row}}}}}]'
+
+
+@pytest.mark.parametrize("windows, results, message", [
+    ("[[0, 9]]", _one_row('{"windows": {}, "seconds": "x", "failure": null}'),
+     "results[0].estimators['A'].seconds must be a number"),
+    ("[[0, 9]]", _one_row('{"windows": {}, "seconds": 0.1, "failure": 5}'),
+     "results[0].estimators['A'].failure must be a string or null"),
+    ("[[0, 9]]", _one_row('{"windows": {"0-9": "x"}, "seconds": 0.1, "failure": null}'),
+     "results[0].estimators['A'].windows must map window labels to numbers"),
+    ("[[0, 9]]", _one_row(_ROW, order='"A"'), "results[0].order must be a list of strings"),
+    ("[[0, 9]]", '{"seed": 1}', "results must be a list"),
+    ("5", "[]", "windows must be a list of [start, end] number pairs"),
+])
+def test_report_with_a_wrong_type_is_a_config_error(windows, results, message, tmp_path,
+                                                    capsys):
+    text = _REPORT_HEAD.replace("[[0, 9]]", windows) + results + "}"
+    (tmp_path / "report.json").write_text(text, encoding="utf-8")
     assert main(["report", "--report", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err == f"config error: {tmp_path / 'report.json'} is not a report: {message}\n"

@@ -101,6 +101,7 @@ def test_unconvertible_value_is_a_config_error(kind, key, value, tmp_path, capsy
     ("uam_lke", "q = -1e9", "Q must have a nonnegative diagonal"),
     ("e4ptrw", "window = 4", "e4ptrw window must be >= 5"),
     ("nnsse_uke", "activation = tanh", "weighted_sum network has no hidden activation"),
+    ("nnsse_eke", "network = 25-1\nactivation = tanh", "25-1 network has no hidden activation"),
 ])
 def test_value_the_builder_refuses_is_a_config_error(kind, line, message, tmp_path,
                                                       capsys):
