@@ -101,6 +101,8 @@ class UamModel:
     T: float
     F: np.ndarray = field(init=False)
     A: np.ndarray = field(init=False)
+    # horizon n -> ([h^j], [j!]) for j < order, h = n T; see `multi_step_predict`
+    _taylor: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.order not in (1, 2, 3, 4):
@@ -152,16 +154,20 @@ def multi_step_predict(model, state, n: int) -> float:
 
     Stack models iterate their companion matrix.  A kinematic model sums the
     Taylor terms x_j h^j / j!, h = n T, over its state (position, velocity,
-    acceleration, jerk) in the order j = 0, 1, ...; a sine model rotates by
-    n omega T.
+    acceleration, jerk) in the order j = 0, 1, ...; h^j and j! are computed
+    once per model and n.  A sine model rotates by n omega T.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if isinstance(model, UamModel):
-        h = n * model.T
+        taylor = model._taylor.get(n)
+        if taylor is None:
+            h = n * model.T
+            taylor = model._taylor[n] = ([h ** j for j in range(model.order)],
+                                         [math.factorial(j) for j in range(model.order)])
         total = 0.0
-        for j, x in enumerate(np.asarray(state, dtype=float).tolist()):
-            total += x * h ** j / math.factorial(j)
+        for x, power, factorial in zip(np.asarray(state, dtype=float).tolist(), *taylor):
+            total += x * power / factorial
         return total
     if isinstance(model, SineModel):
         return model.forecaster(n)(state)

@@ -17,15 +17,18 @@ non-finite forecast.  The recorded minimum is exactly what ``eigvalsh`` on
 every step would give, but ``eigvalsh`` runs only on the steps that may lower
 it: a Cholesky factorisation of P - (w + δ)I that succeeds proves that P has
 no eigenvalue at or below the running minimum w (Sylvester's law of inertia).
-Up to 5 x 5 the audit and this screen run inline on Python floats, from 6 x 6
-through LAPACK.  Only the first step and a failed factorisation run
-``eigvalsh``.  A read-only P folded in once (the frozen covariance of a
-steady-state linear filter) is skipped while its bytes stay the same.
+Up to 5 x 5 the asymmetry, the finiteness check and this screen are one
+inline pass over Python floats, from 6 x 6 they go through NumPy and LAPACK.
+Only the first step and a failed factorisation run ``eigvalsh``.  A
+read-only P folded in once (the frozen covariance of a steady-state linear
+filter) is skipped while its bytes stay the same.
 
 The covariance schedule of a linear filter (`SteadyStateLke`) reads no data,
 so the seeds of one `run_experiment` call share it: one schedule dict for the
-serial seed loop, one per pool worker.  Pools live for one call, and no
-schedule outlives the call, so every run recomputes its own.
+serial seed loop, one per pool worker.  Its entries are read-only once a
+second seed takes them or once they are the fixed point; a run with one seed
+per process leaves the others writable and pays for no flag.  Pools live for
+one call, and no schedule outlives the call, so every run recomputes its own.
 """
 
 from __future__ import annotations
@@ -215,47 +218,55 @@ def _screen_shift(n: int, trace: float, w: float) -> float:
     return w + _SCREEN_MARGIN * n * (n + 2) * _EPS * (abs(trace) + abs(w))
 
 
-def _inline_asymmetry(rows: list[list[float]]) -> float:
-    """Largest |P - Pᵀ| entry of a nested-list P; nan if an entry is not
-    finite.  |a - b| = |b - a| exactly, so the lower triangle suffices; the
-    diagonal is included because an inf or nan there gives a nan."""
-    asym = 0.0
-    for i, row in enumerate(rows):
-        for j in range(i + 1):
-            d = abs(row[j] - rows[j][i])
-            if not d <= asym:          # larger, or nan
-                if not math.isfinite(d):
-                    return math.nan
-                asym = d
-    return asym
+def _inline_audit(rows: list[list[float]], w: float) -> tuple[float, bool]:
+    """One pass over a nested-list P: its largest |P - Pᵀ| entry (nan if an
+    entry is not finite) and whether the Cholesky factorisation of
+    P - (w + δ)I, on its lower triangle, runs to the end (False for w = inf).
 
-
-def _inline_screen(rows: list[list[float]], w: float) -> bool:
-    """True if the Cholesky factorisation of P - (w + δ)I, on the lower
-    triangle of a nested-list P, runs to the end."""
+    |a - b| = |b - a| exactly, so the differences below the diagonal cover
+    every entry off it; a diagonal entry is not finite if and only if
+    P_ii - P_ii is not 0.  Once the factorisation breaks down, the pass
+    goes on for the asymmetry alone."""
     n = len(rows)
-    shift = _screen_shift(n, sum(rows[i][i] for i in range(n)), w)
+    screen = w < math.inf
+    if screen:
+        trace = 0.0
+        for i in range(n):
+            trace += rows[i][i]
+        shift = _screen_shift(n, trace, w)
+    asym = 0.0
     L: list[list[float]] = []
     for i, row in enumerate(rows):
         Li = []
         for j in range(i):
-            Lj = L[j]
-            s = row[j]
-            for k in range(j):
-                s -= Li[k] * Lj[k]
-            Li.append(s / Lj[j])
-        s = row[i] - shift
-        for k in range(i):
-            s -= Li[k] * Li[k]
-        if not s > 0.0:                # breakdown, or nan
-            return False
-        Li.append(math.sqrt(s))
-        L.append(Li)
-    return True
+            d = abs(row[j] - rows[j][i])
+            if not d <= asym:          # larger, or nan
+                if not math.isfinite(d):
+                    return math.nan, False
+                asym = d
+            if screen:
+                Lj = L[j]
+                s = row[j]
+                for k in range(j):
+                    s -= Li[k] * Lj[k]
+                Li.append(s / Lj[j])
+        s = row[i]
+        if s - s != 0.0:
+            return math.nan, False
+        if screen:
+            s -= shift
+            for k in range(i):
+                s -= Li[k] * Li[k]
+            if s > 0.0:
+                Li.append(math.sqrt(s))
+                L.append(Li)
+            else:                      # breakdown, or nan
+                screen = False
+    return asym, screen
 
 
 def _lapack_screen(cov: np.ndarray, w: float) -> bool:
-    """`_inline_screen` through LAPACK."""
+    """The screen of `_inline_audit` through LAPACK, for a finite w."""
     n = cov.shape[0]
     shifted = cov.copy()
     shifted.flat[::n + 1] -= _screen_shift(n, float(cov.trace()), w)
@@ -292,20 +303,20 @@ class CovarianceAudit:
         """Fold in one covariance; False, recording nothing, if it is not finite."""
         if cov is self._folded and cov.tobytes() == self._folded_bytes:
             return True
-        n = cov.shape[0]
-        rows = cov.tolist() if n <= _INLINE_MAX_DIM else None
-        # Also the finiteness check, which must come first (a nan matrix
-        # factors without raising; `eigvalsh` returns nan, which `min`
-        # ignores, or raises).  Every entry enters a difference, and one that
-        # is not finite makes it inf or nan (inf - inf is nan).
-        asym = (_inline_asymmetry(rows) if rows is not None
-                else float(np.abs(cov - cov.T).max()))
+        w = self.min_eigenvalue
+        # The asymmetry is also the finiteness check, which must come first
+        # (a nan matrix factors without raising; `eigvalsh` returns nan,
+        # which `min` ignores, or raises).  Every entry enters a difference,
+        # and one that is not finite makes it inf or nan (inf - inf is nan).
+        if cov.shape[0] <= _INLINE_MAX_DIM:
+            asym, screened = _inline_audit(cov.tolist(), w)
+        else:
+            asym = float(np.abs(cov - cov.T).max())
+            screened = math.isfinite(asym) and w < math.inf and _lapack_screen(cov, w)
         if not math.isfinite(asym):
             return False
         self.max_asymmetry = max(self.max_asymmetry, asym)
-        w = self.min_eigenvalue
-        if not (w < math.inf and (_inline_screen(rows, w) if rows is not None
-                                  else _lapack_screen(cov, w))):
+        if not screened:
             self.min_eigenvalue = min(w, float(np.linalg.eigvalsh(cov).min()))
         if not cov.flags.writeable:
             self._folded, self._folded_bytes = cov, cov.tobytes()
@@ -334,10 +345,10 @@ def run_single_seed(config: ExperimentConfig, seed: int, audit: bool = False,
                 f"window {(s, e)} has no steps past warmup+horizon ({first_target})")
 
     ref = traj.reference
-    z = traj.measurement
+    z = traj.measurement.tolist()  # runners step on Python floats
     results: dict[str, EstimatorResult] = {}
     for runner in runners:
-        preds = np.full(n, np.nan)
+        preds = [math.nan] * n
         failure = None
         health = CovarianceAudit()
         t0 = time.perf_counter()
@@ -357,6 +368,7 @@ def run_single_seed(config: ExperimentConfig, seed: int, audit: bool = False,
                     break
             preds[i] = forecast
         seconds = time.perf_counter() - t0
+        preds = np.array(preds, dtype=float)
 
         errors = np.full(n, np.nan)
         valid = slice(first_target, n)

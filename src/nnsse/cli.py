@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .bench import run_experiment
 from .config import load_config
-from .report import emit_report, load_report, render_table, report_to_dict, write_summary_csv
+from .report import emit_report, load_report, render_table, write_summary_csv
 from .runners import ConfigError
 from .signals import SINE_DEFAULTS, TrajectoryFormatError, gen_sine, save_trajectory
 
@@ -94,9 +94,9 @@ def _cmd_run(args) -> int:
         config = dataclasses.replace(config, seeds=[args.seed])
     _check_out_dir(args.out_dir)
     report = run_experiment(config, audit=args.audit, parallel=args.parallel)
-    written = emit_report(report, args.format, args.out_dir)
-    if args.format == "table":
-        print(render_table(report_to_dict(report)))
+    written, table = emit_report(report, args.format, args.out_dir)
+    if table is not None:
+        print(table)
     for path in written:
         print(f"wrote {path}")
     if report.failures:

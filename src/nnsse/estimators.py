@@ -15,8 +15,10 @@ FUSION 2003.
 
 The linear variant's covariance and gain recursion reads no data, so
 `SteadyStateLke` computes it once per (F, Q, R, P_0) as a schedule of
-read-only covariances that every chain from the same start shares, up to
-its bitwise fixed point; the other chains only update their means.
+covariances that every chain from the same start shares, up to its bitwise
+fixed point; the other chains only update their means.  An entry is made
+read-only once a second chain takes it, or once it is the fixed point, so a
+chain that shares nothing pays for no flag.
 """
 
 from __future__ import annotations
@@ -42,8 +44,11 @@ class DegenerateLikelihoodError(EstimatorError):
 
 
 def _symmetrized(M: np.ndarray) -> np.ndarray:
-    """(M + M^T) / 2 in one new array."""
-    S = M + M.T
+    """(M + M^T) / 2 in one new array.  The transpose is copied first: adding
+    two C-ordered arrays is faster than adding a transposed view, and
+    M^T + M equals M + M^T bit for bit."""
+    S = M.T.copy()
+    S += M
     S /= 2.0
     return S
 
@@ -143,14 +148,14 @@ def uke_sigma_points(belief: GaussianBelief, params: UkeParams = UkeParams()) ->
     return SigmaSet(points, w_mean, w_cov, L)
 
 
-def _gain(P_pred: np.ndarray, R: float) -> np.ndarray:
-    """Kalman gain P e_0 / S of the observation z = x[0] + noise.  Raises if
-    S = P[0, 0] + R <= 0."""
-    s = float(P_pred[0, 0]) + R
+def _gain(c: np.ndarray, R: float) -> np.ndarray:
+    """Kalman gain c / S of the observation z = x[0] + noise, c = P e_0 the
+    prior covariance's column 0.  Raises if S = c[0] + R <= 0."""
+    s = float(c[0]) + R
     if not s > 0:
         raise CovarianceDegeneracyError(
             f"innovation variance must be positive (got {s})")
-    return P_pred[:, 0] / s
+    return c / s
 
 
 def _mean_update(x_pred: np.ndarray, K: np.ndarray, z: float):
@@ -163,9 +168,10 @@ def _scalar_update(x_pred: np.ndarray, P_pred: np.ndarray, R: float, z: float):
     """Shared measurement update for the observation z = x[0] + noise; returns
     (posterior belief, predicted observation).  The posterior covariance
     P - K P[:, 0]^T is built in P_pred's buffer, then symmetrized."""
-    K = _gain(P_pred, R)
+    c = P_pred[:, 0]
+    K = _gain(c, R)
     mean, z_hat = _mean_update(x_pred, K, z)
-    P_pred -= np.multiply.outer(K, P_pred[:, 0])
+    P_pred -= K[:, None] * c
     return GaussianBelief._presymmetrized(mean, _symmetrized(P_pred)), z_hat
 
 
@@ -189,15 +195,17 @@ def lke_step(F: np.ndarray, noise: NoiseSpec, belief: GaussianBelief, z: float):
 
 
 class _LkeSchedule:
-    """Read-only posterior covariances P_0, P_1, ... of one linear filter from
-    one start P_0, and the gains K_k of the steps k-1 -> k (None until
-    derived).  ``complete`` once the last entry repeats the one before it,
-    bit for bit and finite."""
+    """Posterior covariances P_0, P_1, ... of one linear filter from one start
+    P_0, and the gains K_k of the steps k-1 -> k (None until derived).
+    ``complete`` once the last entry repeats the one before it, bit for bit
+    and finite; that fixed point is read-only.  Any other entry is made
+    read-only when a second chain first takes it: entries 1..``shared`` are."""
 
     def __init__(self, start: np.ndarray):
         self.covs = [start]
         self.gains: list[np.ndarray | None] = [None]
         self.complete = False
+        self.shared = 0
 
 
 class SteadyStateLke:
@@ -206,18 +214,20 @@ class SteadyStateLke:
 
     The covariance and gain recursion of a linear filter never reads the
     data (Anderson & Moore, Optimal Filtering, 1979).  So every chain of
-    beliefs from one start P_0 walks one schedule of read-only posterior
-    covariances P_1, P_2, ...  Schedules live in ``schedules``, a dict keyed
-    by the bytes of (F, Q, R, P_0) that all filters of one experiment run
-    share; without one, the instance keeps its own.  The first chain to
-    reach entry k computes it through `lke_step`.  Every other chain steps
-    its mean as x = F m, m' = x + K_k (z - x[0]), through the same
-    `_mean_update` as `lke_step`, and its posterior shares P_k.  K_k is
-    `_gain` of the prior of P_{k-1}, derived once: bitwise the gain
-    `lke_step` used.  The schedule stops growing at its fixed point, an
-    entry equal to the one before it, bit for bit; by induction every later
-    entry and gain repeats it.  Posteriors and innovations stay bitwise
-    those of plain `lke_step`.
+    beliefs from one start P_0 walks one schedule of posterior covariances
+    P_1, P_2, ...  Schedules live in ``schedules``, a dict keyed by the
+    bytes of (F, Q, R, P_0) that all filters of one experiment run share;
+    without one, the instance keeps its own.  The first chain to reach
+    entry k computes it through `lke_step` and hands it out writable.
+    Every other chain steps its mean as x = F m, m' = x + K_k (z - x[0]),
+    through the same `_mean_update` as `lke_step`, and its posterior shares
+    P_k, which the first such chain makes read-only.  K_k is `_gain` of the
+    prior of P_{k-1}, derived once: bitwise the gain `lke_step` used.  The
+    schedule stops growing at its fixed point, an entry equal to the one
+    before it, bit for bit, and read-only from then on; by induction every
+    later entry and gain repeats it.  A chain at the fixed point only checks
+    that its belief still holds it and updates the mean.  Posteriors and
+    innovations stay bitwise those of plain `lke_step`.
 
     A belief continues its chain when its covariance is the entry the last
     posterior carried; any other belief starts a chain at its covariance.
@@ -236,58 +246,56 @@ class SteadyStateLke:
         self._schedule: _LkeSchedule | None = None
         self._k = 0                             # entry of the last posterior
         self._at: np.ndarray | None = None      # that entry
-
-    @property
-    def cov(self) -> np.ndarray | None:
-        """The fixed point, once this chain has reached it."""
-        s = self._schedule
-        if s is None or not s.complete or self._at is not s.covs[-1]:
-            return None
-        return self._at
-
-    @property
-    def gain(self) -> np.ndarray | None:
-        """K of the step that repeated the fixed point, once reached."""
-        if self.cov is None:
-            return None
-        gains, k = self._schedule.gains, self._k
-        if gains[k] is None:
-            gains[k] = self._gain_after(self._schedule.covs[k - 1])
-        return gains[k]
+        self.cov: np.ndarray | None = None      # the fixed point, while this chain holds it
+        self.gain: np.ndarray | None = None     # K of the step that repeats it
 
     def _gain_after(self, P: np.ndarray) -> np.ndarray:
         """The gain of the step from posterior covariance P."""
-        return _gain(_lke_prior_cov(self.F, self.noise, P), self.noise.R)
+        return _gain(_lke_prior_cov(self.F, self.noise, P)[:, 0], self.noise.R)
 
     def _start(self, cov: np.ndarray) -> None:
         key = (self._key, cov.tobytes())
         if key not in self._schedules:
-            start = cov.copy()
-            start.setflags(write=False)
-            self._schedules[key] = _LkeSchedule(start)
+            self._schedules[key] = _LkeSchedule(cov.copy())
         self._schedule, self._k = self._schedules[key], 0
+        self.cov = self.gain = None
+
+    def _freeze(self, k: int) -> None:
+        """Hold the fixed point, entry k, and the gain that repeats it."""
+        covs, gains = self._schedule.covs, self._schedule.gains
+        if gains[k] is None:
+            gains[k] = self._gain_after(covs[k - 1])
+        self.cov, self.gain = covs[k], gains[k]
 
     def __call__(self, belief: GaussianBelief, z: float):
+        if belief.cov is self.cov:  # the fixed point; None, before it, matches no belief
+            mean, z_hat = _mean_update(self.F @ belief.mean, self.gain, z)
+            return GaussianBelief._presymmetrized(mean, self.cov), z - z_hat
         if belief.cov is not self._at:
             self._start(belief.cov)
         s = self._schedule
         covs, gains, k = s.covs, s.gains, self._k + 1
-        if k == len(covs) and s.complete:
-            k -= 1  # the fixed point repeats
         if k < len(covs):
             K = gains[k]
             if K is None:
                 K = gains[k] = self._gain_after(covs[k - 1])
+            if k > s.shared:
+                s.shared = k
+                covs[k].setflags(write=False)
             mean, z_hat = _mean_update(self.F @ belief.mean, K, z)
             self._k, self._at = k, covs[k]
+            if s.complete and k == len(covs) - 1:
+                self._freeze(k)
             return GaussianBelief._presymmetrized(mean, self._at), z - z_hat
         posterior, innovation = lke_step(self.F, self.noise, belief, z)
         P = posterior.cov
-        P.setflags(write=False)
         s.complete = P.tobytes() == belief.cov.tobytes() and bool(np.isfinite(P).all())
         covs.append(P)
         gains.append(None)
         self._k, self._at = k, P
+        if s.complete:
+            P.setflags(write=False)
+            self._freeze(k)
         return posterior, innovation
 
 

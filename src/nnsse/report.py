@@ -161,8 +161,9 @@ def write_summary_csv(path, data: dict) -> None:
                 fh.write(",".join(cells) + "\n")
 
 
-def emit_report(report: RunReport, fmt: str, out_dir) -> list[Path]:
-    """Write report files; fmt 'table' additionally renders table.txt."""
+def emit_report(report: RunReport, fmt: str, out_dir) -> tuple[list[Path], str | None]:
+    """Write report files; fmt 'table' additionally renders table.txt.
+    Returns the paths written and the rendered table (None for 'csv')."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     data = report_to_dict(report)
@@ -183,13 +184,15 @@ def emit_report(report: RunReport, fmt: str, out_dir) -> list[Path]:
     write_summary_csv(summary_path, data)
     written.append(summary_path)
 
+    table = None
     if fmt == "table":
+        table = render_table(data)
         table_path = out / "table.txt"
-        table_path.write_text(render_table(data), encoding="utf-8")
+        table_path.write_text(table, encoding="utf-8")
         written.append(table_path)
     elif fmt != "csv":
         raise ValueError(f"unknown report format {fmt!r}")
-    return written
+    return written, table
 
 
 def _missing(obj, keys, where: str = "") -> list[str]:

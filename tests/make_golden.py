@@ -25,7 +25,14 @@ of a compared value, |nudged - golden| / max(|golden|, 1).
 Re-recording the golden is a change of the check: say which rows moved, by
 how much and why.  Run from the repository root:
 
-    PYTHONPATH=src python tests/make_golden.py
+    PYTHONPATH=src python tests/make_golden.py           # re-record golden.json
+    PYTHONPATH=src python tests/make_golden.py --check   # compare, write nothing
+
+``--check`` reruns both cases and prints, per row, its worst change against
+`golden.json` (the measure above, over the values the row is compared on)
+next to its rtol, and whether it is within it; it exits 1 if a row moved
+beyond its rtol or changed its failure.  This is the parent-against-change
+table of a change that should keep the outputs.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import dataclasses
 import json
 import os
 import platform
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -143,7 +151,59 @@ def record() -> dict:
     return golden
 
 
+def load_golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def decoded(row: dict) -> dict:
+    """A golden row's window errors and forecasts as floats."""
+    return {"windows": {k: float.fromhex(v) for k, v in row["windows"].items()},
+            "forecasts": [float.fromhex(v) for v in row["forecasts"]]}
+
+
+def compare_case(case: str, golden: dict) -> tuple[list[str], dict]:
+    """Rerun a case: its row names, and per golden row (worst change, rtol,
+    failure now, failure recorded).  A row that is gone or whose window
+    names changed gets an infinite change."""
+    got_rows = run_case(case_config(case))
+    changes = {}
+    for name, want in golden["cases"][case]["rows"].items():
+        got = got_rows.get(name)
+        if got is None or list(got["windows"]) != list(want["windows"]):
+            changes[name] = (float("inf"), want["rtol"], None, want["failure"])
+            continue
+        prefix = want["compare_first"]
+        worst = max_change(compared_values(got, prefix),
+                           compared_values(decoded(want), prefix))
+        changes[name] = (worst, want["rtol"], got["failure"], want["failure"])
+    return list(got_rows), changes
+
+
+def check() -> int:
+    golden = load_golden()
+    moved = 0
+    for case in CASES:
+        names, changes = compare_case(case, golden)
+        if names != list(golden["cases"][case]["rows"]):
+            moved += 1
+            print(f"{case}: rows {names}, recorded {list(golden['cases'][case]['rows'])}")
+        for name, (worst, rtol, failure, want) in changes.items():
+            ok = worst <= rtol and failure == want
+            moved += not ok
+            print(f"{case:17s} {name:14s} worst {worst:.3g} rtol {rtol:.3g} "
+                  f"{'ok' if ok else 'MOVED'}"
+                  + ("" if failure == want else f" (failure {failure!r}, was {want!r})"))
+    env = environment()
+    if env != golden["env"]:
+        print(f"recorded on {golden['env']}, running on {env}")
+    return 1 if moved else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
+    if sys.argv[1:]:
+        sys.exit(f"usage: {sys.argv[0]} [--check]")
     data = record()
     GOLDEN.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
     for case, entry in data["cases"].items():

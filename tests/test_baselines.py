@@ -286,3 +286,30 @@ def test_multi_step_uam_matches_closed_form():
     state = np.array([1.0, -2.0, 0.5])
     expected = (np.linalg.matrix_power(m.F, 7) @ state)[0]
     assert multi_step_predict(m, state, 7) == pytest.approx(expected)
+
+
+def _taylor_oracle(state, h):
+    total = 0.0
+    for j, x_j in enumerate(state):
+        total += x_j * h**j / math.factorial(j)
+    return total
+
+
+def test_uam_forecast_matches_the_literal_taylor_sum_bitwise():
+    rng = np.random.default_rng(5)
+    for order in (1, 2, 3, 4):
+        model = UamModel(order, 0.005)
+        for n in (1, 2, 3, 4, 5):
+            for _ in range(20):
+                state = (rng.standard_normal(order) * 10.0 ** rng.uniform(-3, 3, order))
+                want = _taylor_oracle(state.tolist(), n * model.T)
+                assert multi_step_predict(model, state, n).hex() == want.hex(), (order, n)
+                assert multi_step_predict(model, state.tolist(), n).hex() == want.hex()
+
+
+def test_uam_forecast_keys_its_factors_on_the_horizon():
+    model = UamModel(4, 0.01)
+    state = [1.5, -2.25, 30.0, -400.0]
+    for n in (2, 5, 2, 5, 1):
+        assert (multi_step_predict(model, np.array(state), n).hex()
+                == _taylor_oracle(state, n * model.T).hex()), n

@@ -348,6 +348,46 @@ def test_only_the_first_seed_of_each_run_calls_lke_step(pool, monkeypatch):
     assert today > 599  # the sine filter never freezes
 
 
+def test_one_seed_marks_only_start_and_fixed_point_read_only():
+    schedules: dict = {}
+    cfg = sine_config(LINEAR_ROSTER, steps=600, windows=((0, 600),))
+    run_single_seed(cfg, 1, lke_schedules=schedules)
+    assert len(schedules) == len(LINEAR_ROSTER)
+    frozen = 0
+    for schedule in schedules.values():
+        read_only = [k for k, cov in enumerate(schedule.covs) if not cov.flags.writeable]
+        last = len(schedule.covs) - 1
+        assert set(read_only) <= {0, last}
+        if schedule.complete:
+            frozen += 1
+            assert last in read_only
+        else:
+            assert last not in read_only
+    assert 0 < frozen < len(LINEAR_ROSTER)  # the sine filter never freezes
+
+
+def test_every_entry_handed_to_a_second_seed_is_read_only(monkeypatch):
+    import nnsse.bench
+
+    plain_call, plain_seed = SteadyStateLke.__call__, nnsse.bench.run_single_seed
+    seed, handed = [None], []
+
+    def recording(self, belief, z):
+        posterior, innovation = plain_call(self, belief, z)
+        if seed[0] == 2:
+            handed.append(posterior.cov.flags.writeable)
+        return posterior, innovation
+
+    def seed_run(config, s, *args):
+        seed[0] = s
+        return plain_seed(config, s, *args)
+
+    monkeypatch.setattr(SteadyStateLke, "__call__", recording)
+    monkeypatch.setattr(nnsse.bench, "run_single_seed", seed_run)
+    run_experiment(sine_config(LINEAR_ROSTER, steps=600, windows=((0, 600),), seeds=(1, 2)))
+    assert len(handed) == len(LINEAR_ROSTER) * 599 and not any(handed)
+
+
 def test_import_leaves_the_process_pool_unloaded():
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = ("import sys, nnsse\n"
@@ -476,6 +516,26 @@ def test_run_and_report_refuse_an_out_dir_that_is_a_file(tmp_path, capsys, monke
             assert captured.out == ""
             assert captured.err == f"config error: --out-dir {out}: {afile} is not a directory\n"
     assert afile.read_text(encoding="utf-8") == "keep\n"
+
+
+def test_run_prints_the_table_it_writes(tmp_path, capsys, monkeypatch):
+    import nnsse.report
+
+    renders = []
+    render = nnsse.report.render_table
+    monkeypatch.setattr(nnsse.report, "render_table",
+                        lambda data: renders.append(1) or render(data))
+    path = tmp_path / "run.ini"
+    path.write_text("[trajectory]\nsteps = 200\n[run]\nseeds = 1, 2\n"
+                    "[estimator:E2P]\nkind = stack\nstack = E2P\n"
+                    "[estimator:UAM-LKE]\nkind = uam_lke\n", encoding="utf-8")
+    assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    table = (tmp_path / "out" / "table.txt").read_bytes()
+    printed, _, rest = out.partition("\nwrote ")
+    assert printed.encode("utf-8") == table and table
+    assert rest.startswith(str(tmp_path / "out"))
+    assert renders == [1]
 
 
 def test_non_finite_forecast_is_a_recorded_failure(tmp_path):
@@ -613,6 +673,46 @@ def test_non_finite_covariance_is_refused_and_not_recorded(n, bad):
             assert not audit.update(cov), cells
     assert not audit.update(np.full((n, n), np.nan))
     assert (audit.max_asymmetry, audit.min_eigenvalue) == (0.0, 2.0)
+
+
+def _spd(n, rng):
+    a = rng.standard_normal((n, n))
+    return a @ a.T + n * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_inline_audit_keeps_the_asymmetry_after_the_screen_breaks(n):
+    # w = 1 after the first step.  P[0, 0] = 0.5 breaks the screen at row 0,
+    # and the largest |P - Pᵀ| entry sits in the last row.
+    cov = _spd(n, np.random.default_rng(n))
+    cov[0, 0] = 0.5
+    cov[n - 1, n - 2] += 3.0
+    audit = CovarianceAudit()
+    assert audit.update(np.eye(n)) and audit.update(cov)
+    got = (audit.max_asymmetry, audit.min_eigenvalue)
+    assert repr(got) == repr(_eigvalsh_every_step([np.eye(n), cov]))
+    assert got[0] >= 3.0 and got[1] < 0.5
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_inline_audit_refuses_a_single_non_finite_entry_anywhere(n, bad):
+    rng = np.random.default_rng(n)
+    good = [_spd(n, rng) for _ in range(2)]
+    want = repr(_eigvalsh_every_step(good))
+    cells = [(i, j) for i in range(n) for j in range(n)]  # diagonal, lower, upper
+    for breaks_at_row_0 in (False, True):
+        audit = CovarianceAudit()
+        for cov in good:
+            assert audit.update(cov)
+        for cell in cells:
+            cov = _spd(n, rng)
+            if breaks_at_row_0:
+                cov[0, 0] = -1.0
+            cov[cell] = bad
+            with np.errstate(invalid="ignore"):
+                assert not audit.update(cov), (cell, breaks_at_row_0)
+        assert repr((audit.max_asymmetry, audit.min_eigenvalue)) == want
 
 
 @pytest.mark.parametrize("n", [3, 8])
