@@ -286,22 +286,24 @@ class CovarianceAudit:
     before the first).  Both equal, bit for bit, what ``eigvalsh`` on every
     step records.
 
-    Folding a P in twice records nothing new, so a read-only P is kept with
-    its bytes, and `update` returns at once when handed that same array with
-    the same bytes again (a frozen steady-state filter hands out one
-    read-only covariance).  The bytes are compared because a read-only array
-    can still change through a writable view made before the flag was set.
+    Folding a P in twice records nothing new, so `update` keeps the last
+    read-only P, and returns at once when handed that array with the same
+    bytes again (a frozen steady-state filter hands out one).  The bytes are
+    compared because a read-only array can still change through a writable
+    view made before the flag was set; they are taken, after a full audit,
+    when the array first comes back, as most are handed out only once.
     """
 
     max_asymmetry: float = 0.0
     min_eigenvalue: float = math.inf
     _folded: np.ndarray | None = field(default=None, init=False, repr=False,
                                        compare=False)
-    _folded_bytes: bytes = field(default=b"", init=False, repr=False, compare=False)
+    _folded_bytes: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def update(self, cov: np.ndarray) -> bool:
         """Fold in one covariance; False, recording nothing, if it is not finite."""
-        if cov is self._folded and cov.tobytes() == self._folded_bytes:
+        snapshot = cov.tobytes() if cov is self._folded else None
+        if snapshot is not None and snapshot == self._folded_bytes:
             return True
         w = self.min_eigenvalue
         # The asymmetry is also the finiteness check, which must come first
@@ -319,7 +321,7 @@ class CovarianceAudit:
         if not screened:
             self.min_eigenvalue = min(w, float(np.linalg.eigvalsh(cov).min()))
         if not cov.flags.writeable:
-            self._folded, self._folded_bytes = cov, cov.tobytes()
+            self._folded, self._folded_bytes = cov, snapshot
         return True
 
 

@@ -15,15 +15,16 @@ FUSION 2003.
 
 The linear variant's covariance and gain recursion reads no data, so
 `SteadyStateLke` computes it once per (F, Q, R, P_0) as a schedule of
-covariances that every chain from the same start shares, up to its bitwise
-fixed point; the other chains only update their means.  An entry is made
-read-only once a second chain takes it, or once it is the fixed point, so a
-chain that shares nothing pays for no flag.
+covariances and gains that every chain from the same start shares, up to
+its bitwise fixed point; the other chains only update their means.  K_k is
+kept from the `lke_step` call that made P_k, not derived again.  An entry
+and its gain are made read-only once a second chain takes them, or at the
+fixed point, so a chain that shares nothing pays for no flag.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,10 +56,14 @@ def _symmetrized(M: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GaussianBelief:
-    """Posterior mean and covariance; covariance is re-symmetrized on entry."""
+    """Posterior mean and covariance; covariance is re-symmetrized on entry.
+
+    ``gain`` is the K of the update that made it (`_scalar_update`, or the
+    one a `SteadyStateLke` schedule kept from `lke_step`); None on a prior."""
 
     mean: np.ndarray
     cov: np.ndarray
+    gain: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
@@ -68,11 +73,12 @@ class GaussianBelief:
             raise ValueError("covariance shape does not match mean length")
 
     @classmethod
-    def _presymmetrized(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianBelief":
-        """A belief over a float mean and an already symmetric float
-        covariance, taken as they are: no copy, no check."""
+    def _presymmetrized(cls, mean: np.ndarray, cov: np.ndarray,
+                        gain: np.ndarray) -> "GaussianBelief":
+        """A belief over a float mean, an already symmetric float covariance
+        and its update's gain, taken as they are: no copy, no check."""
         belief = object.__new__(cls)
-        belief.mean, belief.cov = mean, cov
+        belief.mean, belief.cov, belief.gain = mean, cov, gain
         return belief
 
 
@@ -166,18 +172,18 @@ def _mean_update(x_pred: np.ndarray, K: np.ndarray, z: float):
 
 def _scalar_update(x_pred: np.ndarray, P_pred: np.ndarray, R: float, z: float):
     """Shared measurement update for the observation z = x[0] + noise; returns
-    (posterior belief, predicted observation).  The posterior covariance
-    P - K P[:, 0]^T is built in P_pred's buffer, then symmetrized."""
+    (posterior belief with its gain K, predicted observation).  The posterior
+    covariance P - K P[:, 0]^T is built in P_pred's buffer, then symmetrized."""
     c = P_pred[:, 0]
     K = _gain(c, R)
     mean, z_hat = _mean_update(x_pred, K, z)
     P_pred -= K[:, None] * c
-    return GaussianBelief._presymmetrized(mean, _symmetrized(P_pred)), z_hat
+    return GaussianBelief._presymmetrized(mean, _symmetrized(P_pred), K), z_hat
 
 
 def _lke_prior_cov(F: np.ndarray, noise: NoiseSpec, cov: np.ndarray) -> np.ndarray:
-    """Predicted covariance F P F^T + Q, symmetrized."""
-    P_pred = F @ cov @ F.T
+    """F P F^T + Q, symmetrized; `.dot` matches `@` bit for bit at half its call cost."""
+    P_pred = F.dot(cov).dot(F.T)
     P_pred += noise.Q
     return _symmetrized(P_pred)
 
@@ -188,7 +194,7 @@ def lke_step(F: np.ndarray, noise: NoiseSpec, belief: GaussianBelief, z: float):
     n = belief.mean.size
     if F.shape != (n, n) or noise.Q.shape != (n, n):
         raise ValueError("inconsistent dimensions in lke_step")
-    x_pred = F @ belief.mean
+    x_pred = F.dot(belief.mean)
     P_pred = _lke_prior_cov(F, noise, belief.cov)
     posterior, z_hat = _scalar_update(x_pred, P_pred, noise.R, z)
     return posterior, z - z_hat
@@ -196,10 +202,12 @@ def lke_step(F: np.ndarray, noise: NoiseSpec, belief: GaussianBelief, z: float):
 
 class _LkeSchedule:
     """Posterior covariances P_0, P_1, ... of one linear filter from one start
-    P_0, and the gains K_k of the steps k-1 -> k (None until derived).
-    ``complete`` once the last entry repeats the one before it, bit for bit
-    and finite; that fixed point is read-only.  Any other entry is made
-    read-only when a second chain first takes it: entries 1..``shared`` are."""
+    P_0, and the gains K_k of the steps k-1 -> k, each kept from the
+    `lke_step` call that made P_k (no gain leads to P_0).  ``complete`` once
+    the last entry repeats the one before it, bit for bit and finite; that
+    fixed point and its gain are read-only.  Any other entry and its gain are
+    made read-only when a second chain first takes them: entries
+    1..``shared`` are."""
 
     def __init__(self, start: np.ndarray):
         self.covs = [start]
@@ -215,19 +223,20 @@ class SteadyStateLke:
     The covariance and gain recursion of a linear filter never reads the
     data (Anderson & Moore, Optimal Filtering, 1979).  So every chain of
     beliefs from one start P_0 walks one schedule of posterior covariances
-    P_1, P_2, ...  Schedules live in ``schedules``, a dict keyed by the
-    bytes of (F, Q, R, P_0) that all filters of one experiment run share;
-    without one, the instance keeps its own.  The first chain to reach
-    entry k computes it through `lke_step` and hands it out writable.
-    Every other chain steps its mean as x = F m, m' = x + K_k (z - x[0]),
-    through the same `_mean_update` as `lke_step`, and its posterior shares
-    P_k, which the first such chain makes read-only.  K_k is `_gain` of the
-    prior of P_{k-1}, derived once: bitwise the gain `lke_step` used.  The
+    P_1, P_2, ... and gains K_1, K_2, ...  Schedules live in ``schedules``,
+    a dict keyed by the bytes of (F, Q, R, P_0) that all filters of one
+    experiment run share; without one, the instance keeps its own.  The
+    first chain to reach entry k computes it through `lke_step`, keeps the
+    gain K_k that call formed (``posterior.gain``) and hands both out
+    writable.  Every other chain steps its mean as x = F m,
+    m' = x + K_k (z - x[0]), through the same `_mean_update` as `lke_step`,
+    and its posterior shares P_k and K_k, which the first such chain makes
+    read-only.  No prior covariance is formed outside `lke_step`.  The
     schedule stops growing at its fixed point, an entry equal to the one
-    before it, bit for bit, and read-only from then on; by induction every
-    later entry and gain repeats it.  A chain at the fixed point only checks
-    that its belief still holds it and updates the mean.  Posteriors and
-    innovations stay bitwise those of plain `lke_step`.
+    before it, bit for bit, and read-only from then on with its gain; by
+    induction every later entry and gain repeats it.  A chain at the fixed
+    point only checks that its belief still holds it and updates the mean.
+    Posteriors and innovations stay bitwise those of plain `lke_step`.
 
     A belief continues its chain when its covariance is the entry the last
     posterior carried; any other belief starts a chain at its covariance.
@@ -249,10 +258,6 @@ class SteadyStateLke:
         self.cov: np.ndarray | None = None      # the fixed point, while this chain holds it
         self.gain: np.ndarray | None = None     # K of the step that repeats it
 
-    def _gain_after(self, P: np.ndarray) -> np.ndarray:
-        """The gain of the step from posterior covariance P."""
-        return _gain(_lke_prior_cov(self.F, self.noise, P)[:, 0], self.noise.R)
-
     def _start(self, cov: np.ndarray) -> None:
         key = (self._key, cov.tobytes())
         if key not in self._schedules:
@@ -260,42 +265,35 @@ class SteadyStateLke:
         self._schedule, self._k = self._schedules[key], 0
         self.cov = self.gain = None
 
-    def _freeze(self, k: int) -> None:
-        """Hold the fixed point, entry k, and the gain that repeats it."""
-        covs, gains = self._schedule.covs, self._schedule.gains
-        if gains[k] is None:
-            gains[k] = self._gain_after(covs[k - 1])
-        self.cov, self.gain = covs[k], gains[k]
-
     def __call__(self, belief: GaussianBelief, z: float):
         if belief.cov is self.cov:  # the fixed point; None, before it, matches no belief
-            mean, z_hat = _mean_update(self.F @ belief.mean, self.gain, z)
-            return GaussianBelief._presymmetrized(mean, self.cov), z - z_hat
+            mean, z_hat = _mean_update(self.F.dot(belief.mean), self.gain, z)
+            return GaussianBelief._presymmetrized(mean, self.cov, self.gain), z - z_hat
         if belief.cov is not self._at:
             self._start(belief.cov)
         s = self._schedule
         covs, gains, k = s.covs, s.gains, self._k + 1
         if k < len(covs):
-            K = gains[k]
-            if K is None:
-                K = gains[k] = self._gain_after(covs[k - 1])
+            P, K = covs[k], gains[k]
             if k > s.shared:
                 s.shared = k
-                covs[k].setflags(write=False)
-            mean, z_hat = _mean_update(self.F @ belief.mean, K, z)
-            self._k, self._at = k, covs[k]
+                P.setflags(write=False)
+                K.setflags(write=False)
+            mean, z_hat = _mean_update(self.F.dot(belief.mean), K, z)
+            self._k, self._at = k, P
             if s.complete and k == len(covs) - 1:
-                self._freeze(k)
-            return GaussianBelief._presymmetrized(mean, self._at), z - z_hat
+                self.cov, self.gain = P, K
+            return GaussianBelief._presymmetrized(mean, P, K), z - z_hat
         posterior, innovation = lke_step(self.F, self.noise, belief, z)
-        P = posterior.cov
+        P, K = posterior.cov, posterior.gain
         s.complete = P.tobytes() == belief.cov.tobytes() and bool(np.isfinite(P).all())
         covs.append(P)
-        gains.append(None)
+        gains.append(K)
         self._k, self._at = k, P
         if s.complete:
             P.setflags(write=False)
-            self._freeze(k)
+            K.setflags(write=False)
+            self.cov, self.gain = P, K
         return posterior, innovation
 
 

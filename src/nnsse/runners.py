@@ -164,8 +164,8 @@ class E4ptrwRunner(OpenLoopStackRunner):
     ``window`` of four it followed as inputs and itself as target.
     ``inputs`` (W, 4) and ``targets`` (W,) keep the last W rows, oldest
     first, and shift up by one row per step.  Once W rows have accumulated,
-    every step refits the coefficients from them with `e4ptrw_refit`; before
-    that the published offline coefficients apply.
+    every step refits ``stack.coeffs`` and ``stack.F[0]`` in place with
+    `e4ptrw_refit`; before that the published offline coefficients apply.
     """
 
     def __init__(self, name, horizon, window_len=E4PTRW_WINDOW):
@@ -183,7 +183,7 @@ class E4ptrwRunner(OpenLoopStackRunner):
         self.targets[:-1] = self.targets[1:]
         self.targets[-1] = z
         if self.seen - 3 >= self.window_len:
-            self.stack = StackModel(e4ptrw_refit(self.inputs, self.targets))
+            self.stack.coeffs = self.stack.F[0] = e4ptrw_refit(self.inputs, self.targets)
 
 
 # ---------------------------------------------------------------------------

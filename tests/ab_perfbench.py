@@ -1,0 +1,130 @@
+"""Alternating parent/change pairs of the benchmark in two checkouts.
+
+    python tests/ab_perfbench.py PARENT_DIR CHANGE_DIR --workload stacks \\
+        [--pairs 10] [--seconds 50] [--first-seed 1]
+
+Each pair runs ``perfbench/run.py --workload W --seed S --seconds N
+--trace 0`` once in each checkout, with its own working directory and
+sources.  Pair i uses workload seed ``first-seed + i``, and the side that
+runs first alternates from pair to pair, so that drift of the machine's
+load falls on both sides alike.  The last line of each run is its JSON
+result; every run is printed as it finishes.  At the end, for each
+end-to-end metric of the parent's ``BENCHMARK.json``, the script prints
+each side's median and quartiles, the change of the medians, the number of
+pairs the change won (ties count for neither side) and whether the gain rule
+holds: the change wins at least nine tenths of the pairs and its median
+differs from the parent's by more than the parent's interquartile range.
+It exits 1 if any run failed or reported an incorrect result.
+
+The script writes nothing into either checkout: its child interpreters run
+with ``PYTHONDONTWRITEBYTECODE=1``, and ``perfbench/run.py`` removes its own
+work directory.  Both checkouts must be in the same ``__pycache__`` state,
+best with none in either (a fresh ``git archive`` or ``git clone``): with
+bytecode writing off, a stale cache in one checkout makes every fresh
+interpreter there recompile ``nnsse``, which once moved ``setup_s`` by
+about 15%.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One untraced benchmark run in ``checkout``; its JSON result, with the
+    exit code as ``returncode``."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, env=env, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = {"correct": False, "metrics": {}, "stderr": proc.stderr[-2000:]}
+    result["returncode"] = proc.returncode
+    return result
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(metrics: list[dict], pairs: list[dict]) -> list[str]:
+    """One line per end-to-end metric over the pairs that measured it."""
+    lines = [f"{'metric':24s} {'unit':5s} {'parent median [q1, q3]':28s} "
+             f"{'change median [q1, q3]':28s} {'change':>8s} {'wins':>6s}  gain rule"]
+    for spec in metrics:
+        name, lower = spec["name"], spec["better"] == "lower"
+        measured = [p for p in pairs
+                    if all(name in p[side]["metrics"] for side in SIDES)]
+        if not measured:
+            lines.append(f"{name:24s} not measured")
+            continue
+        values = {side: [p[side]["metrics"][name]["value"] for p in measured]
+                  for side in SIDES}
+        (pq1, pmed, pq3), (cq1, cmed, cq3) = (quartiles(values[s]) for s in SIDES)
+        wins = sum((c < p) if lower else (c > p)
+                   for p, c in zip(values["parent"], values["change"]))
+        better = (cmed < pmed) if lower else (cmed > pmed)
+        met = wins >= 0.9 * len(measured) and better and abs(cmed - pmed) > pq3 - pq1
+        rel = f"{(cmed - pmed) / pmed:+.1%}" if pmed else "n/a"
+        lines.append(f"{name:24s} {spec['unit']:5s} "
+                     f"{f'{pmed:.4g} [{pq1:.4g}, {pq3:.4g}]':28s} "
+                     f"{f'{cmed:.4g} [{cq1:.4g}, {cq3:.4g}]':28s} {rel:>8s} "
+                     f"{f'{wins}/{len(measured)}':>6s}  {'met' if met else 'not met'}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=int, default=50)
+    parser.add_argument("--first-seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, path in checkouts.items():
+        if not (path / "perfbench" / "run.py").is_file():
+            parser.error(f"{side} checkout {path} has no perfbench/run.py")
+    spec = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+    pairs, ok = [], True
+    for i in range(args.pairs):
+        seed = args.first_seed + i
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {}
+        for side in order:
+            result = pair[side] = run_bench(checkouts[side], args.workload, seed,
+                                            args.seconds)
+            good = result["returncode"] == 0 and result.get("correct") is True
+            ok &= good
+            values = " ".join(f"{name}={m['value']:.4g}"
+                              for name, m in result["metrics"].items())
+            print(f"pair {i + 1} seed {seed} {side:6s} "
+                  f"{'ok' if good else 'FAILED'} failed={result.get('failed')} {values}"
+                  + ("" if good else f"\n{result.get('stderr', '')}"), flush=True)
+        pairs.append(pair)
+
+    print(f"workload {args.workload}, {args.pairs} pairs, --seconds {args.seconds}, "
+          f"seeds {args.first_seed}-{args.first_seed + args.pairs - 1}")
+    print("\n".join(summarize(spec["end_to_end"], pairs)))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

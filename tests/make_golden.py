@@ -46,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nnsse.bench import ExperimentConfig, run_single_seed
+from nnsse.bench import ExperimentConfig, SeedRun, run_single_seed
 from nnsse.config import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,7 +90,11 @@ def sample_steps(steps: int) -> list[int]:
 
 def run_case(config: ExperimentConfig) -> dict:
     """Per row: kind, failure, window errors and the sampled forecasts."""
-    run = run_single_seed(config, SEED)
+    return case_rows(config, run_single_seed(config, SEED))
+
+
+def case_rows(config: ExperimentConfig, run: SeedRun) -> dict:
+    """`run_case`'s rows of one seed's run of ``config``."""
     steps = sample_steps(len(run.trajectory))
     kinds = {e.name: e.kind for e in config.estimators}
     return {name: {"kind": kinds[name],

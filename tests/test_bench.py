@@ -16,6 +16,7 @@ from nnsse.baselines import (
     STACK_COEFFS,
     StackKind,
     StackModel,
+    e4ptrw_refit,
     multi_step_predict,
 )
 from nnsse.bench import (
@@ -326,25 +327,33 @@ def test_only_the_first_seed_of_each_run_calls_lke_step(pool, monkeypatch):
     ctx = RunContext(cfg.horizon, traj.sample_period, 1, 2.0 * np.pi)
     today = sum(_calls_until_fixed_point(build_runner(s.name, s.kind, s.params, ctx),
                                          traj.measurement) for s in LINEAR_ROSTER)
-    calls, seed = {}, [None]
+    calls, priors, seed = {}, [], [None]
     plain_step, plain_seed = nnsse.estimators.lke_step, nnsse.bench.run_single_seed
+    plain_prior = nnsse.estimators._lke_prior_cov
 
     def counting_step(*args):
         calls[seed[0]] = calls.get(seed[0], 0) + 1
         return plain_step(*args)
+
+    def counting_prior(*args):
+        priors.append(1)
+        return plain_prior(*args)
 
     def seed_run(config, s, *args):
         seed[0] = s
         return plain_seed(config, s, *args)
 
     monkeypatch.setattr(nnsse.estimators, "lke_step", counting_step)
+    monkeypatch.setattr(nnsse.estimators, "_lke_prior_cov", counting_prior)
     monkeypatch.setattr(nnsse.bench, "run_single_seed", seed_run)
     if pool is not None:
         monkeypatch.setattr(nnsse.bench, "ProcessPoolExecutor", pool)
     for _ in range(2):  # a second run recomputes: no schedule outlives its run
         calls.clear()
+        priors.clear()
         run_experiment(cfg, parallel=1 if pool is None else 2)
-        assert calls == {1: today}
+        # Later seeds reuse the gain lke_step formed: no prior is formed again.
+        assert calls == {1: today} and len(priors) == today
     assert today > 599  # the sine filter never freezes
 
 
@@ -358,6 +367,8 @@ def test_one_seed_marks_only_start_and_fixed_point_read_only():
         read_only = [k for k, cov in enumerate(schedule.covs) if not cov.flags.writeable]
         last = len(schedule.covs) - 1
         assert set(read_only) <= {0, last}
+        assert read_only == [k for k, gain in enumerate(schedule.gains)
+                             if gain is not None and not gain.flags.writeable]
         if schedule.complete:
             frozen += 1
             assert last in read_only
@@ -375,7 +386,7 @@ def test_every_entry_handed_to_a_second_seed_is_read_only(monkeypatch):
     def recording(self, belief, z):
         posterior, innovation = plain_call(self, belief, z)
         if seed[0] == 2:
-            handed.append(posterior.cov.flags.writeable)
+            handed.append(posterior.cov.flags.writeable or posterior.gain.flags.writeable)
         return posterior, innovation
 
     def seed_run(config, s, *args):
@@ -597,6 +608,27 @@ def test_e4ptrw_array_window_matches_pairs_oracle_bitwise(window):
     np.testing.assert_array_equal(got, _e4ptrw_pairs_oracle(z, 3, window))
 
 
+@pytest.mark.parametrize("window", [50, 7])
+def test_e4ptrw_refit_in_place_matches_a_model_rebuilt_every_step(window):
+    rng = np.random.default_rng(12)
+    z = 10.0 * np.sin(2 * np.pi * np.arange(400) / 200.0) + rng.standard_normal(400)
+    z[150] = np.nan  # the refit drops its rows, then falls back to the published row
+    runner = build_runner("E4PTRW", "e4ptrw", {"window": window},
+                          RunContext(3, 0.005, 1))
+    stack = runner.stack
+    rows, targets, coeffs = [], [], np.array(STACK_COEFFS[StackKind.E4PTRW])
+    got, want = [], []
+    for i, v in enumerate(z.tolist()):
+        got.append(runner.step(v).hex())
+        if i >= 4:
+            rows, targets = (rows + [z[i - 4:i][::-1]])[-window:], (targets + [v])[-window:]
+        if len(rows) == window:
+            coeffs = e4ptrw_refit(np.array(rows), np.array(targets))
+        want.append(v.hex() if i < 3 else
+                    multi_step_predict(StackModel(coeffs), z[i - 3:i + 1][::-1].copy(), 3).hex())
+    assert runner.stack is stack and got == want
+
+
 @pytest.mark.parametrize("window", [3, -1])
 def test_e4ptrw_window_below_minimum_pairs_rejected(window):
     with pytest.raises(ConfigError, match="window"):
@@ -717,17 +749,48 @@ def test_inline_audit_refuses_a_single_non_finite_entry_anywhere(n, bad):
 
 @pytest.mark.parametrize("n", [3, 8])
 def test_read_only_covariance_changed_through_a_view_is_audited_again(n):
-    base = 2.0 * np.eye(n)
-    cov = base.view()
-    cov.flags.writeable = False
-    audit = CovarianceAudit()
-    assert audit.update(cov) and audit.update(cov)
-    base[0, 0] = -1.0
-    base[n - 1, 0] = 0.5
-    assert audit.update(cov)
-    got = (audit.max_asymmetry, audit.min_eigenvalue)
-    assert repr(got) == repr(_eigvalsh_every_step([2.0 * np.eye(n), base]))
-    assert got[1] < 0
+    for folds in (1, 2):  # changed before or after its bytes were first taken
+        base = 2.0 * np.eye(n)
+        cov = base.view()
+        cov.flags.writeable = False
+        audit = CovarianceAudit()
+        for _ in range(folds):
+            assert audit.update(cov)
+        base[0, 0] = -1.0
+        base[n - 1, 0] = 0.5
+        assert audit.update(cov)
+        got = (audit.max_asymmetry, audit.min_eigenvalue)
+        assert repr(got) == repr(_eigvalsh_every_step([2.0 * np.eye(n), base])), folds
+        assert got[1] < 0
+
+
+def test_audit_snapshots_only_covariances_that_come_back(monkeypatch):
+    """A read-only covariance handed out once (a shared schedule entry) is
+    never copied to bytes; one handed out again (the fixed point) is, once
+    per return."""
+    plain_update, code = CovarianceAudit.update, CovarianceAudit.update.__code__
+    last, returns, snapshots = {}, [], []
+
+    def recording(self, cov):
+        returns.append(last.get(id(self)) is cov)
+        last[id(self)] = cov
+        return plain_update(self, cov)
+
+    def profile(frame, event, arg):
+        if event == "c_call" and frame.f_code is code and arg.__name__ == "tobytes":
+            snapshots.append(1)
+
+    cfg = sine_config([EstimatorSpec("UAM-LKE", "uam_lke", {})], steps=600,
+                      windows=((0, 600),), seeds=(1, 2, 3))
+    monkeypatch.setattr(CovarianceAudit, "update", recording)
+    sys.setprofile(profile)
+    try:
+        run = run_experiment(cfg, audit=True)
+    finally:
+        sys.setprofile(None)
+    assert len(returns) == 3 * 600 and 0 < sum(returns) < 3 * 599
+    assert len(snapshots) == sum(returns)
+    assert len({r.results["UAM-LKE"].min_eigenvalue for r in run.seed_runs}) == 1
 
 
 class _CovarianceTurnsNan(Runner):

@@ -208,7 +208,8 @@ def _repeat_cov_stub(calls):
 
     def stub(F, noise, belief, z):
         calls.append(z)
-        return GaussianBelief._presymmetrized(belief.mean + 1.0, belief.cov.copy()), 0.0
+        return GaussianBelief._presymmetrized(belief.mean + 1.0, belief.cov.copy(),
+                                              np.zeros_like(belief.mean)), 0.0
 
     return stub
 
@@ -252,6 +253,7 @@ def test_steady_state_lke_steps_other_beliefs_through_lke_step(monkeypatch):
     plain, plain_innovation = lke_step(F, noise, belief, 0.5)
     assert frozen.mean.tobytes() == plain.mean.tobytes()
     assert frozen.cov.tobytes() == plain.cov.tobytes()
+    assert frozen.gain is step.gain and frozen.gain.tobytes() == plain.gain.tobytes()
     assert innovation == plain_innovation
     # A belief with an equal but distinct covariance takes the plain path.
     other = GaussianBelief(belief.mean, belief.cov)
