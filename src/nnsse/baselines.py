@@ -9,7 +9,7 @@ from a sliding window), and an exact sine-rotation reference model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -45,19 +45,19 @@ E4PTRW_MIN_PAIRS = 5
 @dataclass
 class StackModel:
     """Linear predictor over a window of past positions (newest first); F is
-    the companion matrix of its first-row coefficients."""
+    the companion matrix of the first-row coefficients it is built from."""
 
-    coeffs: np.ndarray
+    coeffs: InitVar[np.ndarray]
     F: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        self.F = np.eye(self.coeffs.size, k=-1)
-        self.F[0] = self.coeffs
+    def __post_init__(self, coeffs):
+        coeffs = np.asarray(coeffs, dtype=float)
+        self.F = np.eye(coeffs.size, k=-1)
+        self.F[0] = coeffs
 
     @property
     def k(self) -> int:
-        return self.coeffs.size
+        return self.F.shape[0]
 
 
 def stack_transition(kind: StackKind) -> StackModel:

@@ -19,16 +19,14 @@ it: a Cholesky factorisation of P - (w + δ)I that succeeds proves that P has
 no eigenvalue at or below the running minimum w (Sylvester's law of inertia).
 Up to 5 x 5 the asymmetry, the finiteness check and this screen are one
 inline pass over Python floats, from 6 x 6 they go through NumPy and LAPACK.
-Only the first step and a failed factorisation run ``eigvalsh``.  A
-read-only P folded in once (the frozen covariance of a steady-state linear
-filter) is skipped while its bytes stay the same.
+Only the first step and a failed factorisation run ``eigvalsh``.  A P
+handed back right after it was folded in (the frozen covariance of a
+steady-state linear filter) is skipped while its bytes stay the same.
 
 The covariance schedule of a linear filter (`SteadyStateLke`) reads no data,
 so the seeds of one `run_experiment` call share it: one schedule dict for the
-serial seed loop, one per pool worker.  Its entries are read-only once a
-second seed takes them or once they are the fixed point; a run with one seed
-per process leaves the others writable and pays for no flag.  Pools live for
-one call, and no schedule outlives the call, so every run recomputes its own.
+serial seed loop, one per pool worker.  Pools live for one call, and no
+schedule outlives the call, so every run recomputes its own.
 """
 
 from __future__ import annotations
@@ -286,12 +284,12 @@ class CovarianceAudit:
     before the first).  Both equal, bit for bit, what ``eigvalsh`` on every
     step records.
 
-    Folding a P in twice records nothing new, so `update` keeps the last
-    read-only P, and returns at once when handed that array with the same
-    bytes again (a frozen steady-state filter hands out one).  The bytes are
-    compared because a read-only array can still change through a writable
-    view made before the flag was set; they are taken, after a full audit,
-    when the array first comes back, as most are handed out only once.
+    Folding a P in twice records nothing new, so `update` keeps the last P
+    it folded in, and returns at once when handed that same array with the
+    same bytes again (a frozen steady-state filter hands out one).  The bytes
+    are compared because an array can change in place, or through a view
+    even when it is read-only; they are taken, after a full audit, when the
+    array first comes back, as most are handed out only once.
     """
 
     max_asymmetry: float = 0.0
@@ -320,8 +318,7 @@ class CovarianceAudit:
         self.max_asymmetry = max(self.max_asymmetry, asym)
         if not screened:
             self.min_eigenvalue = min(w, float(np.linalg.eigvalsh(cov).min()))
-        if not cov.flags.writeable:
-            self._folded, self._folded_bytes = cov, snapshot
+        self._folded, self._folded_bytes = cov, snapshot
         return True
 
 

@@ -2,8 +2,11 @@
 
 The observation is implicit: every estimator observes state coordinate 0, a
 scalar, through the unit selector e_0, so no observation vector is passed and
-the three Kalman variants end in the same scalar-observation update.  The
-linear variant takes a transition matrix F.  The others take a model of the
+the three Kalman variants end in the same scalar-observation update.  Every
+step returns (posterior, innovation), the innovation being z minus the
+predicted observation: x[0] of the predicted mean for the Kalman variants, the
+prior-weighted mean of the propagated particles' x[0] for the particle one.
+The linear variant takes a transition matrix F.  The others take a model of the
 map x' = A x + e_0 f(x), row 0 of the fixed A being zero: ``lead_batch(X)``
 is f at each row, ``linear_part(X)`` is X A^T, ``lead_gradient(x)`` the
 gradient of f at one state (extended only) and ``transition_batch(X)`` the
@@ -25,6 +28,7 @@ fixed point, so a chain that shares nothing pays for no flag.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,19 +106,13 @@ class UkeParams:
         return self.alpha ** 2 * (n + self.kappa) - n
 
 
-@dataclass
-class SigmaSet:
+class SigmaSet(NamedTuple):
     """2n+1 deterministic samples with mean and covariance weights."""
 
     points: np.ndarray
     mean_weights: np.ndarray
     cov_weights: np.ndarray
     factor: np.ndarray | None = None  # L: points 1..n = mean + L.T, n+1..2n = mean - L.T
-
-    def __post_init__(self):
-        m, n = self.points.shape
-        if m != 2 * n + 1:
-            raise ValueError("sigma set must contain 2n+1 points")
 
 
 def psd_sqrt(M: np.ndarray) -> np.ndarray:
@@ -165,20 +163,20 @@ def _gain(c: np.ndarray, R: float) -> np.ndarray:
 
 
 def _mean_update(x_pred: np.ndarray, K: np.ndarray, z: float):
-    """Posterior mean x + K (z - x[0]) and the predicted observation x[0]."""
-    z_hat = float(x_pred[0])
-    return x_pred + K * (z - z_hat), z_hat
+    """Posterior mean x + K nu and the innovation nu = z - x[0]."""
+    innovation = z - float(x_pred[0])
+    return x_pred + K * innovation, innovation
 
 
 def _scalar_update(x_pred: np.ndarray, P_pred: np.ndarray, R: float, z: float):
     """Shared measurement update for the observation z = x[0] + noise; returns
-    (posterior belief with its gain K, predicted observation).  The posterior
-    covariance P - K P[:, 0]^T is built in P_pred's buffer, then symmetrized."""
+    (posterior belief with its gain K, innovation).  The posterior covariance
+    P - K P[:, 0]^T is built in P_pred's buffer, then symmetrized."""
     c = P_pred[:, 0]
     K = _gain(c, R)
-    mean, z_hat = _mean_update(x_pred, K, z)
+    mean, innovation = _mean_update(x_pred, K, z)
     P_pred -= K[:, None] * c
-    return GaussianBelief._presymmetrized(mean, _symmetrized(P_pred), K), z_hat
+    return GaussianBelief._presymmetrized(mean, _symmetrized(P_pred), K), innovation
 
 
 def _lke_prior_cov(F: np.ndarray, noise: NoiseSpec, cov: np.ndarray) -> np.ndarray:
@@ -194,10 +192,7 @@ def lke_step(F: np.ndarray, noise: NoiseSpec, belief: GaussianBelief, z: float):
     n = belief.mean.size
     if F.shape != (n, n) or noise.Q.shape != (n, n):
         raise ValueError("inconsistent dimensions in lke_step")
-    x_pred = F.dot(belief.mean)
-    P_pred = _lke_prior_cov(F, noise, belief.cov)
-    posterior, z_hat = _scalar_update(x_pred, P_pred, noise.R, z)
-    return posterior, z - z_hat
+    return _scalar_update(F.dot(belief.mean), _lke_prior_cov(F, noise, belief.cov), noise.R, z)
 
 
 class _LkeSchedule:
@@ -267,8 +262,8 @@ class SteadyStateLke:
 
     def __call__(self, belief: GaussianBelief, z: float):
         if belief.cov is self.cov:  # the fixed point; None, before it, matches no belief
-            mean, z_hat = _mean_update(self.F.dot(belief.mean), self.gain, z)
-            return GaussianBelief._presymmetrized(mean, self.cov, self.gain), z - z_hat
+            mean, innovation = _mean_update(self.F.dot(belief.mean), self.gain, z)
+            return GaussianBelief._presymmetrized(mean, self.cov, self.gain), innovation
         if belief.cov is not self._at:
             self._start(belief.cov)
         s = self._schedule
@@ -279,11 +274,11 @@ class SteadyStateLke:
                 s.shared = k
                 P.setflags(write=False)
                 K.setflags(write=False)
-            mean, z_hat = _mean_update(self.F.dot(belief.mean), K, z)
+            mean, innovation = _mean_update(self.F.dot(belief.mean), K, z)
             self._k, self._at = k, P
             if s.complete and k == len(covs) - 1:
                 self.cov, self.gain = P, K
-            return GaussianBelief._presymmetrized(mean, P, K), z - z_hat
+            return GaussianBelief._presymmetrized(mean, P, K), innovation
         posterior, innovation = lke_step(self.F, self.noise, belief, z)
         P, K = posterior.cov, posterior.gain
         s.complete = P.tobytes() == belief.cov.tobytes() and bool(np.isfinite(P).all())
@@ -314,7 +309,7 @@ def _partially_linear_step(model, noise: NoiseSpec, belief: GaussianBelief,
 
 def eke_step(model, noise: NoiseSpec, belief: GaussianBelief, z: float):
     """Extended Kalman step, cov(x, f) ~ P g and var f ~ g.P g with g the
-    gradient of f at the mean; returns (posterior, predicted observation)."""
+    gradient of f at the mean; returns (posterior, innovation)."""
     g = model.lead_gradient(belief.mean)
     Pg = belief.cov @ g
     return _partially_linear_step(model, noise, belief, z,
@@ -323,7 +318,7 @@ def eke_step(model, noise: NoiseSpec, belief: GaussianBelief, z: float):
 
 def uke_step(model, noise: NoiseSpec, belief: GaussianBelief, z: float,
              params: UkeParams = UkeParams()):
-    """Unscented Kalman step; returns (posterior, predicted observation).
+    """Unscented Kalman step; returns (posterior, innovation).
 
     Only f sees the sigma points.  The 2n spread points share one weight w,
     so cov(x, f) = w L (f+ - f-) over their plus and minus halves.
@@ -383,11 +378,13 @@ def _draw_process_noise(Q: np.ndarray, count: int, rng: np.random.Generator) -> 
 
 def pe_step(model, noise: NoiseSpec, particles: ParticleSet, z: float,
             rng: np.random.Generator):
-    """Bootstrap particle step; returns (new ParticleSet, predicted observation).
+    """Bootstrap particle step; returns (new ParticleSet, innovation).
 
     Propagates through the transition plus Gaussian process noise (Q must be
     diagonal), weights by the Gaussian likelihood of the measurement, and
     resamples systematically when the effective sample size drops below N/2.
+    The innovation is z minus the prior-weighted mean of the propagated
+    observations.
     """
     N = particles.particles.shape[0]
     if N < 2:
@@ -395,17 +392,15 @@ def pe_step(model, noise: NoiseSpec, particles: ParticleSet, z: float,
     X = model.transition_batch(particles.particles)
     X = X + _draw_process_noise(noise.Q, N, rng)
     obs = X[:, 0]
+    innovation = z - float(particles.weights @ obs)
     lik = np.exp(-0.5 * (z - obs) ** 2 / noise.R) / np.sqrt(2.0 * np.pi * noise.R)
     w = particles.weights * lik
     total = float(w.sum())
     if not np.isfinite(total) or total <= 0.0:
         raise DegenerateLikelihoodError(
             "all particle likelihoods underflowed to zero")
-    w = w / total
-    if 1.0 / float(w @ w) < N / 2.0:
-        idx = systematic_resample(w, rng)
-        X = X[idx]
-        obs = obs[idx]
-        w = np.full(N, 1.0 / N)
-    predicted = float(w @ obs)
-    return ParticleSet(X, w), predicted
+    posterior = ParticleSet(X, w / total)
+    if posterior.ess < N / 2.0:
+        idx = systematic_resample(posterior.weights, rng)
+        posterior = ParticleSet(X[idx], np.full(N, 1.0 / N))
+    return posterior, innovation

@@ -1,10 +1,13 @@
 """Per-estimator stepping loops used by the benchmark harness.
 
 A runner consumes one measurement per step and emits the horizon-step
-position forecast.  Construction is driven by plain parameter dictionaries
-(see `build_runner` and its key table `ESTIMATOR_KINDS`) so the CLI config
-maps onto it directly.  Every random choice derives from (run seed,
-estimator name), making runs reproducible.
+position forecast.  Every Kalman and particle kind runs in one
+`FilterRunner` over the (state, innovation) step contract of `estimators`;
+the stack predictors run open loop on the raw measurements.  Construction
+is driven by plain parameter dictionaries (see `build_runner` and its key
+table `ESTIMATOR_KINDS`) so the CLI config maps onto it directly.  Every
+random choice derives from (run seed, estimator name), making runs
+reproducible.
 """
 
 from __future__ import annotations
@@ -66,66 +69,40 @@ class Runner:
         return None
 
 
-class GaussianRunner(Runner):
-    """Kalman-family runner: one step function over a Gaussian belief.
+class FilterRunner(Runner):
+    """Any Bayesian filter: a `GaussianBelief` state for the Kalman kinds, a
+    `ParticleSet` for the particle kind.
 
-    ``step_fn(belief, z)`` returns (posterior, innovation or predicted
-    observation).  The linear kinds pass a `SteadyStateLke`: `lke_step` on
-    the first runner of a run to reach each step of its data-free covariance
-    schedule, shared through ``RunContext.lke_schedules``, and a mean update
-    with that step's gain on every other runner and past the fixed point;
-    UKE and EKE pass `uke_step` or `eke_step` with model and noise bound.
-    The forecast is the plug-in ``predict_fn(posterior mean)``, with model
-    and horizon bound at build time, not the unscented expectation of the
-    forecast map; `PeRunner` instead forecasts the weighted average of the
+    ``init_fn(z)`` makes the state at the first measurement, ``step_fn(state,
+    z)`` returns (next state, innovation z - predicted observation) and
+    ``forecast_fn(state)`` the horizon-step forecast; the builders bind model,
+    noise, horizon and random stream into them.  The linear kinds step through
+    a `SteadyStateLke`: `lke_step` on the first runner of a run to reach each
+    step of its data-free covariance schedule, shared through
+    ``RunContext.lke_schedules``, and a mean update with that step's gain on
+    every other runner and past the fixed point.  A Kalman forecast is the
+    plug-in forecast at the posterior mean, not the unscented expectation of
+    the forecast map; the particle forecast is the weighted average of the
     per-particle forecasts.
     """
 
-    def __init__(self, name, horizon, step_fn, P0, predict_fn, init_mean_fn,
-                 warmup_hint):
+    def __init__(self, name, horizon, init_fn, step_fn, forecast_fn, warmup_hint):
         super().__init__(name, horizon, warmup_hint)
+        self.init_fn = init_fn
         self.step_fn = step_fn
-        self.P0 = P0
-        self.predict_fn = predict_fn
-        self.init_mean_fn = init_mean_fn
-        self.belief: GaussianBelief | None = None
+        self.forecast_fn = forecast_fn
+        self.state: GaussianBelief | ParticleSet | None = None
 
     def step(self, z: float) -> float:
-        if self.belief is None:
-            self.belief = GaussianBelief(self.init_mean_fn(z), self.P0)
+        if self.state is None:
+            self.state = self.init_fn(z)
         else:
-            self.belief, _ = self.step_fn(self.belief, z)
-        return float(self.predict_fn(self.belief.mean))
+            self.state, _ = self.step_fn(self.state, z)
+        return float(self.forecast_fn(self.state))
 
     def covariance(self):
-        return None if self.belief is None else self.belief.cov
-
-
-class PeRunner(Runner):
-    def __init__(self, name, horizon, model, noise: NoiseSpec, n_particles,
-                 predict_batch_fn, init_mean_fn, rng, warmup_hint):
-        super().__init__(name, horizon, warmup_hint)
-        if n_particles < 2:
-            raise ValueError(f"particles must be >= 2, got {n_particles}")
-        self.model = model
-        self.noise = noise
-        self.n_particles = int(n_particles)
-        self.predict_batch_fn = predict_batch_fn
-        self.init_mean_fn = init_mean_fn
-        self.rng = rng
-        self.particles: ParticleSet | None = None
-
-    def step(self, z: float) -> float:
-        if self.particles is None:
-            mean = self.init_mean_fn(z)
-            spread = np.sqrt(np.diagonal(self.noise.Pi0))
-            cloud = mean + self.rng.standard_normal((self.n_particles, mean.size)) * spread
-            self.particles = ParticleSet(cloud, np.full(self.n_particles, 1.0 / self.n_particles))
-        else:
-            self.particles, _ = pe_step(self.model, self.noise, self.particles,
-                                        z, self.rng)
-        per_particle = self.predict_batch_fn(self.particles.particles)
-        return float(self.particles.weights @ per_particle)
+        """The state's covariance; None before the first step and for a particle set."""
+        return getattr(self.state, "cov", None)
 
 
 class OpenLoopStackRunner(Runner):
@@ -164,8 +141,8 @@ class E4ptrwRunner(OpenLoopStackRunner):
     ``window`` of four it followed as inputs and itself as target.
     ``inputs`` (W, 4) and ``targets`` (W,) keep the last W rows, oldest
     first, and shift up by one row per step.  Once W rows have accumulated,
-    every step refits ``stack.coeffs`` and ``stack.F[0]`` in place with
-    `e4ptrw_refit`; before that the published offline coefficients apply.
+    every step refits ``stack.F[0]`` in place with `e4ptrw_refit`; before
+    that the published offline coefficients apply.
     """
 
     def __init__(self, name, horizon, window_len=E4PTRW_WINDOW):
@@ -183,7 +160,7 @@ class E4ptrwRunner(OpenLoopStackRunner):
         self.targets[:-1] = self.targets[1:]
         self.targets[-1] = z
         if self.seen - 3 >= self.window_len:
-            self.stack.coeffs = self.stack.F[0] = e4ptrw_refit(self.inputs, self.targets)
+            self.stack.F[0] = e4ptrw_refit(self.inputs, self.targets)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +190,11 @@ def _uam_noise(m: UamModel, q: float, r: float, p0: float) -> NoiseSpec:
     return NoiseSpec(Q, r, p0 * np.eye(k))
 
 
+def _belief_at(mean_fn, P0):
+    """``init_fn`` of a Kalman runner: the belief (mean_fn(z), P0)."""
+    return lambda z: GaussianBelief(mean_fn(z), P0)
+
+
 def _uam_runner(name, kind, p, ctx: RunContext) -> Runner:
     a = ctx.horizon
     m = UamModel(p["order"], ctx.sample_period)
@@ -221,9 +203,9 @@ def _uam_runner(name, kind, p, ctx: RunContext) -> Runner:
         step_fn = SteadyStateLke(m.F, noise, ctx.lke_schedules)
     else:
         step_fn = partial(uke_step, m, noise, params=_uke_params(p, m.order))
-    return GaussianRunner(name, a, step_fn, noise.Pi0,
-                          lambda mean: multi_step_predict(m, mean, a),
-                          lambda z: np.concatenate([[z], np.zeros(m.order - 1)]), m.order)
+    init_fn = _belief_at(lambda z: np.concatenate([[z], np.zeros(m.order - 1)]), noise.Pi0)
+    return FilterRunner(name, a, init_fn, step_fn,
+                        lambda belief: multi_step_predict(m, belief.mean, a), m.order)
 
 
 def _sine_runner(name, kind, p, ctx: RunContext) -> Runner:
@@ -231,8 +213,10 @@ def _sine_runner(name, kind, p, ctx: RunContext) -> Runner:
     omega = float(ctx.sine_omega or 1.0) if p["omega"] is None else p["omega"]
     m = SineModel(omega, ctx.sample_period)
     noise = NoiseSpec(p["q"] * np.eye(2), p["r"], p["p0"] * np.eye(2))
-    return GaussianRunner(name, a, SteadyStateLke(m.F, noise, ctx.lke_schedules), noise.Pi0,
-                          m.forecaster(a), lambda z: np.array([z, 0.0]), 2)
+    forecast = m.forecaster(a)
+    return FilterRunner(name, a, _belief_at(lambda z: np.array([z, 0.0]), noise.Pi0),
+                        SteadyStateLke(m.F, noise, ctx.lke_schedules),
+                        lambda belief: forecast(belief.mean), 2)
 
 
 def _uke_params(p, n: int) -> UkeParams:
@@ -287,18 +271,31 @@ def _nnsse_runner(name, kind, p, ctx: RunContext) -> Runner:
     noise = NoiseSpec(np.diag([p["q_pos"]] * n_pos + [p["q_w"]] * c), p["r"],
                       np.diag([p["p0_pos"]] * n_pos + [p["p0_w"]] * c))
     rng = estimator_rng(ctx.seed, name)
-    init = _nnssm_init_fn(p, top, rng)
+    mean_at = _nnssm_init_fn(p, top, rng)
     if kind == "nnsse_pe":
-        return PeRunner(name, a, top, noise, p["particles"],
-                        lambda X: nnmodel.predict_ahead_batch(top, X),
-                        init, rng, top.input_width)
+        count = p["particles"]
+        if count < 2:
+            raise ValueError(f"particles must be >= 2, got {count}")
+        spread = np.sqrt(np.diagonal(noise.Pi0))
+
+        def cloud_at(z):
+            """The first cloud, drawn from ``rng`` at the first measurement."""
+            mean = mean_at(z)
+            cloud = mean + rng.standard_normal((count, mean.size)) * spread
+            return ParticleSet(cloud, np.full(count, 1.0 / count))
+
+        def forecast(cloud):
+            return cloud.weights @ nnmodel.predict_ahead_batch(top, cloud.particles)
+
+        return FilterRunner(name, a, cloud_at, partial(pe_step, top, noise, rng=rng), forecast,
+                            top.input_width)
     if kind == "nnsse_uke":
         step_fn = partial(uke_step, top, noise, params=_uke_params(p, top.state_dim))
     else:
         step_fn = partial(eke_step, top, noise)
-    return GaussianRunner(name, a, step_fn, noise.Pi0,
-                          lambda mean: nnmodel.predict_ahead_batch(top, mean[None])[0],
-                          init, top.input_width)
+    return FilterRunner(name, a, _belief_at(mean_at, noise.Pi0), step_fn,
+                        lambda belief: nnmodel.predict_ahead_batch(top, belief.mean[None])[0],
+                        top.input_width)
 
 
 def _stack_runner(name, kind, p, ctx: RunContext) -> Runner:
@@ -318,9 +315,9 @@ def _stack_runner(name, kind, p, ctx: RunContext) -> Runner:
         raise ConfigError(f"unknown stack mode {mode!r}")
     k = stack.k
     noise = NoiseSpec(p["q"] * np.eye(k), p["r"], p["p0"] * np.eye(k))
-    return GaussianRunner(name, a, SteadyStateLke(stack.F, noise, ctx.lke_schedules), noise.Pi0,
-                          lambda mean: multi_step_predict(stack, mean, a),
-                          lambda z: np.full(k, z), k)
+    return FilterRunner(name, a, _belief_at(lambda z: np.full(k, z), noise.Pi0),
+                        SteadyStateLke(stack.F, noise, ctx.lke_schedules),
+                        lambda belief: multi_step_predict(stack, belief.mean, a), k)
 
 
 def _e4ptrw_runner(name, kind, p, ctx: RunContext) -> Runner:
@@ -355,10 +352,12 @@ _NNSSE_KEYS = {
 _STACK_LKE_KEYS = {"q": 1e-4, "r": 1.0, "p0": 1.0}
 
 # The one table of estimator kinds: kind -> (builder, accepted keys with their
-# shipped defaults).  Every key is overridable per estimator section and any
-# other key is rejected.  A configured value is converted to the type of its
-# default.  A type in place of a default marks a key that is None when unset
-# and converted to that type when set.
+# shipped defaults).  Every kind but the open-loop stacks (``stack`` with
+# mode = open, and ``e4ptrw``) builds a `FilterRunner`.  Every key is
+# overridable per estimator section and any other key is rejected.  A
+# configured value is converted to the type of its default.  A type in place
+# of a default marks a key that is None when unset and converted to that type
+# when set.
 ESTIMATOR_KINDS = {
     "uam_lke": (_uam_runner, _UAM_KEYS),
     "uam_uke": (_uam_runner, {**_UAM_KEYS, **_UKE_KEYS}),

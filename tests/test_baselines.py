@@ -97,7 +97,7 @@ def test_uam_lke_reproduces_matching_polynomials():
 
 def test_stack_first_rows():
     assert STACK_COEFFS[StackKind.E2P] == (2.0, -1.0)
-    np.testing.assert_allclose(stack_transition(StackKind.E4PRW).coeffs,
+    np.testing.assert_allclose(stack_transition(StackKind.E4PRW).F[0],
                                [1.2668, -0.0152, 0.0103, -0.2618])
 
 
@@ -110,7 +110,7 @@ def test_e4pvw_first_row_from_difference_expansion():
         row[j] += lam
         row[j + 1] -= lam
     np.testing.assert_allclose(row, [1.5, -1 / 6, -1 / 6, -1 / 6])
-    np.testing.assert_allclose(stack_transition(StackKind.E4PVW).coeffs, row)
+    np.testing.assert_allclose(stack_transition(StackKind.E4PVW).F[0], row)
 
 
 def test_stack_shift_rows_and_row_sums():
@@ -120,7 +120,7 @@ def test_stack_shift_rows_and_row_sums():
             row = np.zeros(m.k)
             row[r - 1] = 1.0
             np.testing.assert_array_equal(m.F[r], row)
-        total = float(np.sum(m.coeffs))
+        total = float(np.sum(m.F[0]))
         if kind in (StackKind.E4PRW, StackKind.E4PTRW):
             assert total == pytest.approx(1.0001, abs=1e-12)
         else:

@@ -29,7 +29,7 @@ from nnsse.bench import (
     run_single_seed,
 )
 from nnsse.cli import EXIT_CONFIG, EXIT_ESTIMATOR_FAILURE, main
-from nnsse.estimators import GaussianBelief, SteadyStateLke, lke_step
+from nnsse.estimators import SteadyStateLke, lke_step
 from nnsse.model import Topology
 from nnsse.runners import ConfigError, RunContext, Runner, build_runner
 from nnsse.signals import Trajectory, gen_sine, save_trajectory
@@ -132,7 +132,7 @@ def test_uke_constant_trajectory_settles_to_cross_covariance_offset():
     top = Topology.weighted_sum(25, horizon_a=3)
     for _ in range(6000):
         forecast = runner.step(5.0)
-    mean, cov = runner.belief.mean, runner.belief.cov
+    mean, cov = runner.state.mean, runner.state.cov
     np.testing.assert_allclose(mean[top.position_slice], 5.0, rtol=0, atol=1e-6)
     cross = np.trace(cov[top.weight_slice, top.network_input_slice])
     assert forecast - 5.0 == pytest.approx(-cross, rel=0, abs=1e-7)
@@ -222,18 +222,24 @@ def test_runs_are_deterministic_across_calls():
 
 
 def test_parallel_seed_execution_matches_sequential():
+    # The network rows draw their initial weights, and the PE its first cloud
+    # and every step's noise, from the estimator's own stream.
     spec = [EstimatorSpec("E4P", "stack", {"stack": "E4P"}),
             EstimatorSpec("E4PTRW", "e4ptrw", {}),
             EstimatorSpec("UAM-LKE", "uam_lke", {}),
-            EstimatorSpec("Sin", "sine_lke", {})]
+            EstimatorSpec("Sin", "sine_lke", {}),
+            EstimatorSpec("NNSSE-UKE", "nnsse_uke", {"network": "5-5-1"}),
+            EstimatorSpec("NNSSE-EKE", "nnsse_eke", {"network": "5-5-1"}),
+            EstimatorSpec("NNSSE-PE", "nnsse_pe", {"particles": "50"})]
     cfg = sine_config(spec, steps=400, windows=((0, 400),), seeds=(1, 2, 3))
     seq = run_experiment(cfg, parallel=1)
     par = run_experiment(cfg, parallel=2)
     for rs, rp in zip(seq.seed_runs, par.seed_runs):
         assert rs.seed == rp.seed
-        for name in ("E4P", "E4PTRW", "UAM-LKE", "Sin"):
-            np.testing.assert_array_equal(rs.results[name].predictions,
-                                          rp.results[name].predictions)
+        for s in spec:
+            assert rs.results[s.name].failure is None, s.name
+            assert (rs.results[s.name].predictions.tobytes()
+                    == rp.results[s.name].predictions.tobytes()), s.name
 
 
 def test_worker_pool_is_capped_at_the_seed_count(monkeypatch):
@@ -308,7 +314,7 @@ def test_seeds_of_a_run_share_linear_schedules_bitwise(monkeypatch):
 def _calls_until_fixed_point(runner, z) -> int:
     """`lke_step` calls of a private schedule: up to the step whose posterior
     covariance repeats its prior, or every step."""
-    belief = GaussianBelief(runner.init_mean_fn(z[0]), runner.P0)
+    belief = runner.init_fn(z[0])
     for i in range(1, z.size):
         posterior, _ = lke_step(runner.step_fn.F, runner.step_fn.noise, belief, z[i])
         if posterior.cov.tobytes() == belief.cov.tobytes():
@@ -762,6 +768,28 @@ def test_read_only_covariance_changed_through_a_view_is_audited_again(n):
         got = (audit.max_asymmetry, audit.min_eigenvalue)
         assert repr(got) == repr(_eigvalsh_every_step([2.0 * np.eye(n), base])), folds
         assert got[1] < 0
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_writable_covariance_is_skipped_only_while_it_comes_back_unchanged(n, monkeypatch):
+    # The running minimum is this P's own smallest eigenvalue, so the screen
+    # cannot clear it and every full audit of it runs `eigvalsh`.
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    cov = _spd(n, np.random.default_rng(n))
+    first = cov.copy()
+    audit = CovarianceAudit()
+    for _ in range(3):
+        assert audit.update(cov)
+    assert cov.flags.writeable and len(calls) == 2  # the first fold and first return
+    cov[0, 0] = -1.0
+    cov[n - 1, 0] += 0.5
+    assert audit.update(cov)
+    assert len(calls) == 3
+    got = (audit.max_asymmetry, audit.min_eigenvalue)
+    assert repr(got) == repr(_eigvalsh_every_step([first, cov]))
+    assert got[1] < 0
 
 
 def test_audit_snapshots_only_covariances_that_come_back(monkeypatch):

@@ -10,7 +10,6 @@ from nnsse.estimators import (
     DegenerateLikelihoodError,
     GaussianBelief,
     ParticleSet,
-    SigmaSet,
     SteadyStateLke,
     UkeParams,
     eke_step,
@@ -140,11 +139,6 @@ def test_sigma_reconstruction():
         D = sig.points - mean
         recon = (D.T * sig.cov_weights) @ D
         assert np.abs(recon - cov).max() <= 1e-10
-
-
-def test_sigma_set_count_validation():
-    with pytest.raises(ValueError):
-        SigmaSet(np.zeros((4, 2)), np.zeros(4), np.zeros(4))
 
 
 def test_sigma_scale_must_be_positive():
@@ -308,8 +302,8 @@ def test_uke_zero_innovation_keeps_mean():
     model = LinearModel(np.eye(2))
     noise = NoiseSpec(np.zeros((2, 2)), 1.0, np.eye(2))
     belief = GaussianBelief(np.array([3.0, -1.0]), 0.5 * np.eye(2))
-    _, z_hat = uke_step(model, noise, belief, 0.0)
-    posterior, _ = uke_step(model, noise, belief, z_hat)
+    _, innovation = uke_step(model, noise, belief, 0.0)
+    posterior, _ = uke_step(model, noise, belief, -innovation)  # z = the predicted observation
     np.testing.assert_allclose(posterior.mean, belief.mean, atol=1e-12)
 
 
@@ -345,8 +339,9 @@ def test_uke_mean_keeps_cross_covariance_term_eke_does_not():
     cross = np.trace(belief.cov[top.weight_slice, top.network_input_slice])
     assert abs(cross) > 1.0
     noise = NoiseSpec(1e-4 * np.eye(n), 1.0, np.eye(n))
-    _, z_uke = uke_step(top, noise, belief, 0.0, UkeParams(1.0, 0.0, 0.0))
-    _, z_eke = eke_step(top, noise, belief, 0.0)
+    _, nu_uke = uke_step(top, noise, belief, 0.0, UkeParams(1.0, 0.0, 0.0))
+    _, nu_eke = eke_step(top, noise, belief, 0.0)
+    z_uke, z_eke = -nu_uke, -nu_eke  # predicted observations, z = 0
     assert z_uke == pytest.approx(w @ x_in + cross, rel=0, abs=1e-12)
     assert z_eke == pytest.approx(w @ x_in, rel=0, abs=1e-12)
 
@@ -357,7 +352,7 @@ def test_uke_default_params_stay_stable_on_constant_series():
     runner = build_runner("NNSSE-UKE", "nnsse_uke", {}, RunContext(3, 0.005, 1))
     runner.step(5.0)
     model, noise = runner.step_fn.args
-    belief = runner.belief
+    belief = runner.state
     for _ in range(200):
         belief, _ = uke_step(model, noise, belief, 5.0)
     assert np.all(np.isfinite(belief.mean))
@@ -450,8 +445,8 @@ def test_eke_zero_innovation_keeps_mean():
     model = LinearModel(np.eye(3))
     noise = NoiseSpec(np.zeros((3, 3)), 2.0, np.eye(3))
     belief = GaussianBelief(np.array([1.0, 2.0, 3.0]), np.eye(3))
-    posterior, z_hat = eke_step(model, noise, belief, 1.0)
-    assert z_hat == pytest.approx(1.0)
+    posterior, innovation = eke_step(model, noise, belief, 1.0)
+    assert 1.0 - innovation == pytest.approx(1.0)  # the predicted observation
     np.testing.assert_allclose(posterior.mean, belief.mean, atol=1e-15)
 
 
@@ -569,8 +564,8 @@ def test_pe_bit_reproducible():
         parts = ParticleSet(np.zeros((64, 3)), np.full(64, 1 / 64))
         outs = []
         for i in range(30):
-            parts, pred = pe_step(model, noise, parts, np.sin(0.1 * i), rng)
-            outs.append(pred)
+            parts, innovation = pe_step(model, noise, parts, np.sin(0.1 * i), rng)
+            outs.append(innovation)
         return np.array(outs), parts.particles.copy()
 
     o1, p1 = run()

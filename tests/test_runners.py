@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 from pathlib import Path
 
@@ -41,8 +42,9 @@ def test_key_outside_the_kind_is_rejected(kind, params, key):
 def test_particle_and_extended_defaults():
     top = Topology.weighted_sum(25, horizon_a=3)
     pe = build_runner("PE", "nnsse_pe", {}, ctx())
-    assert np.all(np.diagonal(pe.noise.Q)[top.position_slice] == 1e-3)
-    assert np.all(np.diagonal(pe.noise.Pi0)[top.weight_slice] == 1e-4)
+    _, noise = pe.step_fn.args
+    assert np.all(np.diagonal(noise.Q)[top.position_slice] == 1e-3)
+    assert np.all(np.diagonal(noise.Pi0)[top.weight_slice] == 1e-4)
     eke = build_runner("EKE", "nnsse_eke", {}, ctx())
     _, noise = eke.step_fn.args
     assert np.all(np.diagonal(noise.Q)[top.position_slice] == 1e-4)
@@ -116,17 +118,30 @@ def test_value_the_builder_refuses_is_a_config_error(kind, line, message, tmp_pa
 @pytest.mark.parametrize("kind", ["nnsse_uke", "nnsse_pe"])
 def test_initial_weights_follow_the_network_spelling(kind):
     # weighted_sum and 25-1 are the same network; only the spelling picks the
-    # newest-position selector over the uniform draw from the estimator's stream
+    # newest-position selector over the uniform draw from the estimator's
+    # stream.  The particle cloud is drawn around that mean, from the same
+    # stream, at the first measurement.
+    positions = np.full(Topology.weighted_sum(25, horizon_a=3).position_count, 2.5)
+
+    def assert_first_state(runner, mean, rng):
+        state = runner.init_fn(2.5)
+        if kind == "nnsse_pe":
+            _, noise = runner.step_fn.args
+            spread = np.sqrt(np.diagonal(noise.Pi0))
+            cloud = mean + rng.standard_normal((1000, mean.size)) * spread
+            assert state.particles.tobytes() == cloud.tobytes()
+        else:
+            assert state.mean.tobytes() == mean.tobytes()
+
     selector = np.zeros(25)
     selector[0] = 1.0
     for spelling in ("weighted_sum", "WS"):
         runner = build_runner("X", kind, {"network": spelling}, ctx())
-        assert runner.init_mean_fn(2.5)[-25:].tobytes() == selector.tobytes()
+        assert_first_state(runner, np.concatenate([positions, selector]), estimator_rng(1, "X"))
     runner = build_runner("X", kind, {"network": "25-1", "init_scale": "0.3"}, ctx())
-    draw = estimator_rng(1, "X").uniform(-0.3, 0.3, 25)
-    mean = runner.init_mean_fn(2.5)
-    assert mean[-25:].tobytes() == draw.tobytes()
-    assert (mean[:-25] == 2.5).all()
+    rng = estimator_rng(1, "X")
+    draw = rng.uniform(-0.3, 0.3, 25)
+    assert_first_state(runner, np.concatenate([positions, draw]), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +170,7 @@ def test_linear_runner_matches_plain_lke_step_bitwise(kind, params, model):
     runner = build_runner("X", kind, params, RunContext(3, T, 1, OMEGA))
     z = _noisy_sine()
     F, noise = runner.step_fn.F, runner.step_fn.noise
-    belief = GaussianBelief(runner.init_mean_fn(z[0]), runner.P0)
+    belief = runner.init_fn(z[0])
     want, got = [], []
     for i in range(z.size):
         if i:
@@ -201,12 +216,60 @@ def test_bound_forecasts_match_the_closed_forms_bitwise(horizon):
     for order in (1, 2, 3, 4):
         runner = build_runner("X", "uam_lke", {"order": str(order)}, ctx)
         for state in _random_states(rng, order):
-            got = runner.predict_fn(state)
+            got = runner.forecast_fn(GaussianBelief(state, np.eye(order)))
             assert got.hex() == multi_step_predict(UamModel(order, T), state, horizon).hex()
             assert got.hex() == _scalar_uam_forecast(state, horizon, T).hex()
     for omega in (OMEGA, 0.7):
         runner = build_runner("X", "sine_lke", {"omega": str(omega)}, ctx)
         for state in _random_states(rng, 2):
-            got = runner.predict_fn(state)
+            got = runner.forecast_fn(GaussianBelief(state, np.eye(2)))
             assert got.hex() == multi_step_predict(SineModel(omega, T), state, horizon).hex()
             assert got.hex() == _scalar_sine_forecast(state, horizon, omega, T).hex()
+
+
+# ---------------------------------------------------------------------------
+# the (state, innovation) step contract
+
+FILTER_KINDS = [
+    ("uam_lke", {}),
+    ("uam_uke", {}),
+    ("sine_lke", {}),
+    ("stack", {"stack": "E4P", "mode": "lke"}),
+    ("nnsse_uke", {"network": "5-5-1"}),
+    ("nnsse_eke", {"network": "5-5-1"}),
+    ("nnsse_pe", {"particles": "200"}),
+]
+
+
+def _predicted_observation(kind, runner, state):
+    """What each kind predicts x[0] to be before it reads z: row 0 of F on the
+    mean, the model's full transition at the mean (extended), averaged over
+    the 2n sigma points of the unit spread (unscented, whose centre point
+    weighs 0), or averaged over the propagated cloud with its prior weights
+    (particle; the step's noise is drawn from a copy of its stream)."""
+    F = {"uam_lke": UamModel(3, T).F, "uam_uke": UamModel(3, T).F,
+         "sine_lke": SineModel(OMEGA, T).F, "stack": stack_transition(StackKind.E4P).F}
+    if kind in F:
+        return float(F[kind][0] @ state.mean)
+    top, noise = runner.step_fn.args
+    if kind == "nnsse_eke":
+        return float(top.transition_batch(state.mean[None])[0, 0])
+    if kind == "nnsse_uke":
+        L = np.linalg.cholesky(state.mean.size * state.cov)
+        points = np.concatenate([state.mean + L.T, state.mean - L.T])
+        return float(top.transition_batch(points)[:, 0].mean())
+    rng = copy.deepcopy(runner.step_fn.keywords["rng"])
+    cloud = top.transition_batch(state.particles)
+    cloud += rng.standard_normal(cloud.shape) * np.sqrt(np.diagonal(noise.Q))
+    return float(state.weights @ cloud[:, 0])
+
+
+@pytest.mark.parametrize("kind, params", FILTER_KINDS, ids=[k for k, _ in FILTER_KINDS])
+def test_every_step_returns_z_minus_its_predicted_observation(kind, params):
+    runner = build_runner("X", kind, params, RunContext(3, T, 1, OMEGA))
+    z = _noisy_sine(60).tolist()
+    runner.step(z[0])
+    for value in z[1:]:
+        expected = value - _predicted_observation(kind, runner, runner.state)
+        runner.state, innovation = runner.step_fn(runner.state, value)
+        assert innovation == pytest.approx(expected, rel=0, abs=1e-9)
