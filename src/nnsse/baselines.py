@@ -150,12 +150,12 @@ class SineModel:
 
 
 def multi_step_predict(model, state, n: int) -> float:
-    """Observed coordinate after n one-step transitions.
+    """Observed coordinate after n transitions of a stack or kinematic model.
 
     Stack models iterate their companion matrix.  A kinematic model sums the
     Taylor terms x_j h^j / j!, h = n T, over its state (position, velocity,
     acceleration, jerk) in the order j = 0, 1, ...; h^j and j! are computed
-    once per model and n.  A sine model rotates by n omega T.
+    once per model and n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -169,8 +169,6 @@ def multi_step_predict(model, state, n: int) -> float:
         for x, power, factorial in zip(np.asarray(state, dtype=float).tolist(), *taylor):
             total += x * power / factorial
         return total
-    if isinstance(model, SineModel):
-        return model.forecaster(n)(state)
     if isinstance(model, StackModel):
         x = np.asarray(state, dtype=float)
         for _ in range(n):

@@ -100,7 +100,10 @@ def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                        interpolation=None)
     parser.optionxform = str  # keep parameter case as written
-    read = parser.read(path, encoding="utf-8")
+    try:
+        read = parser.read(str(path), encoding="utf-8")
+    except configparser.Error as exc:  # a duplicate section or key, a line before any section
+        raise ConfigError(" ".join(str(exc).split())) from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
 

@@ -14,7 +14,10 @@ whole map of each row (particle only).  `model.Topology` implements this
 protocol for the network state, and `baselines.UamModel` its unscented part
 (``lead_batch``, ``linear_part``) for its fixed F.  Shared time update
 after Morelande & Ristic, ICASSP 2006, and Briers, Maskell & Wright,
-FUSION 2003.
+FUSION 2003.  The particle variant is a bootstrap filter (Gordon, Salmond
+& Smith, 1993) over a plain (particles, weights) `ParticleSet`;
+`diagonal_gaussian` draws its process noise (Q diagonal) and the runner's
+first cloud.
 
 The linear variant's covariance and gain recursion reads no data, so
 `SteadyStateLke` computes it once per (F, Q, R, P_0) as a schedule of
@@ -338,25 +341,15 @@ def uke_step(model, noise: NoiseSpec, belief: GaussianBelief, z: float,
                                   sig.cov_weights @ (f - lead) ** 2)
 
 
-@dataclass
-class ParticleSet:
-    """Weighted sample cloud; weights are kept normalized."""
+class ParticleSet(NamedTuple):
+    """Weighted sample cloud: (N, n) ``particles`` and N normalized ``weights``, unchecked."""
 
     particles: np.ndarray
     weights: np.ndarray
 
-    def __post_init__(self):
-        self.particles = np.asarray(self.particles, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.particles.ndim != 2 or self.weights.shape != (self.particles.shape[0],):
-            raise ValueError("particles must be (N, n) with N weights")
-
     @property
     def ess(self) -> float:
         return 1.0 / float(self.weights @ self.weights)
-
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.particles
 
 
 def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -368,12 +361,12 @@ def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nda
     return np.searchsorted(cumulative, positions)
 
 
-def _draw_process_noise(Q: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` draws of N(0, Q) for a diagonal Q."""
-    diag = np.diagonal(Q)
-    if np.count_nonzero(Q - np.diag(diag)):
-        raise ValueError("particle process noise Q must be diagonal")
-    return rng.standard_normal((count, Q.shape[0])) * np.sqrt(diag)
+def diagonal_gaussian(center, std: np.ndarray, count: int, rng: np.random.Generator):
+    """``count`` rows of N(center, diag std^2): normals scaled and shifted in place."""
+    cloud = rng.standard_normal((count, std.size))
+    cloud *= std
+    cloud += center
+    return cloud
 
 
 def pe_step(model, noise: NoiseSpec, particles: ParticleSet, z: float,
@@ -389,8 +382,10 @@ def pe_step(model, noise: NoiseSpec, particles: ParticleSet, z: float,
     N = particles.particles.shape[0]
     if N < 2:
         raise ValueError("particle estimator needs at least 2 particles")
-    X = model.transition_batch(particles.particles)
-    X = X + _draw_process_noise(noise.Q, N, rng)
+    diag = np.diagonal(noise.Q)
+    if np.count_nonzero(noise.Q) != np.count_nonzero(diag):
+        raise ValueError("particle process noise Q must be diagonal")
+    X = diagonal_gaussian(model.transition_batch(particles.particles), np.sqrt(diag), N, rng)
     obs = X[:, 0]
     innovation = z - float(particles.weights @ obs)
     lik = np.exp(-0.5 * (z - obs) ** 2 / noise.R) / np.sqrt(2.0 * np.pi * noise.R)

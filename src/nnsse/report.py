@@ -162,8 +162,10 @@ def write_summary_csv(path, data: dict) -> None:
 
 
 def emit_report(report: RunReport, fmt: str, out_dir) -> tuple[list[Path], str | None]:
-    """Write report files; fmt 'table' additionally renders table.txt.
-    Returns the paths written and the rendered table (None for 'csv')."""
+    """Write report files, plus table.txt for fmt 'table'; a fmt other than 'table'
+    or 'csv' raises before any write.  Returns the paths and the table (None for 'csv')."""
+    if fmt not in ("table", "csv"):
+        raise ValueError(f"unknown report format {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     data = report_to_dict(report)
@@ -190,8 +192,6 @@ def emit_report(report: RunReport, fmt: str, out_dir) -> tuple[list[Path], str |
         table_path = out / "table.txt"
         table_path.write_text(table, encoding="utf-8")
         written.append(table_path)
-    elif fmt != "csv":
-        raise ValueError(f"unknown report format {fmt!r}")
     return written, table
 
 

@@ -36,6 +36,7 @@ from .estimators import (
     ParticleSet,
     SteadyStateLke,
     UkeParams,
+    diagonal_gaussian,
     eke_step,
     lke_step,  # noqa: F401  (traced and checked as nnsse.runners.lke_step by perfbench)
     pe_step,
@@ -280,8 +281,7 @@ def _nnsse_runner(name, kind, p, ctx: RunContext) -> Runner:
 
         def cloud_at(z):
             """The first cloud, drawn from ``rng`` at the first measurement."""
-            mean = mean_at(z)
-            cloud = mean + rng.standard_normal((count, mean.size)) * spread
+            cloud = diagonal_gaussian(mean_at(z), spread, count, rng)
             return ParticleSet(cloud, np.full(count, 1.0 / count))
 
         def forecast(cloud):

@@ -75,6 +75,8 @@ def gen_sine(amplitude: float, period_s: float, rate_hz: float, steps: int,
     """
     if not all(0 < v < math.inf for v in (amplitude, period_s, rate_hz, steps)):
         raise ValueError("amplitude, period_s, rate_hz and steps must be finite and positive")
+    if steps != int(steps):
+        raise ValueError(f"steps must be a whole number (got {steps!r})")
     if not 0 <= noise_var < math.inf:
         raise ValueError("noise_var must be finite and >= 0")
     i = np.arange(int(steps))

@@ -555,6 +555,18 @@ def test_run_prints_the_table_it_writes(tmp_path, capsys, monkeypatch):
     assert renders == [1]
 
 
+def test_unknown_report_format_writes_nothing(tmp_path):
+    from nnsse.report import emit_report
+
+    cfg = sine_config([EstimatorSpec("E2P", "stack", {"stack": "E2P"})], steps=100,
+                      windows=((0, 100),))
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(ValueError, match="unknown report format 'tabel'"):
+        emit_report(run_experiment(cfg), "tabel", out)
+    assert list(out.iterdir()) == []
+
+
 def test_non_finite_forecast_is_a_recorded_failure(tmp_path):
     # Every cell is finite, so the loader accepts the series, but the
     # forecasts overflow: each estimator must fail instead of reporting a
@@ -1038,6 +1050,16 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys):
 def test_unknown_trajectory_and_run_keys_are_config_errors(section, message, tmp_path,
                                                            capsys):
     assert _config_error(section + _UAM_LKE_ROW, tmp_path, capsys) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[trajectory]\n[run]\n[run]\n", "[line 3]: section 'run' already exists"),
+    ("[trajectory]\n[run]\nhorizon = 3\nhorizon = 4\n",
+     "[line 4]: option 'horizon' in section 'run' already exists"),
+    ("horizon = 3\n[trajectory]\n[run]\n", "File contains no section headers."),
+], ids=["duplicate_section", "duplicate_key", "no_section_header"])
+def test_malformed_ini_is_a_config_error(text, message, tmp_path, capsys):
+    assert message in _config_error(text + _UAM_LKE_ROW, tmp_path, capsys)
 
 
 def test_estimator_name_with_a_comma_is_a_config_error(tmp_path, capsys):

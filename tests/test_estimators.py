@@ -494,11 +494,9 @@ def test_systematic_resample_point_mass():
     np.testing.assert_array_equal(idx, np.zeros(4, dtype=idx.dtype))
 
 
-def test_particle_set_validation_and_ess():
+def test_particle_set_ess():
     ps = ParticleSet(np.zeros((4, 2)), np.full(4, 0.25))
     assert ps.ess == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        ParticleSet(np.zeros((4, 2)), np.full(3, 1 / 3))
 
 
 def test_pe_deterministic_with_zero_process_noise():
@@ -542,7 +540,7 @@ def test_pe_tracks_lke_posterior_mean():
     for i in range(steps):
         belief, _ = lke_step(F, noise, belief, z[i])
         parts, _ = pe_step(model, noise, parts, z[i], prng)
-        err[i] = parts.mean()[0] - belief.mean[0]
+        err[i] = (parts.weights @ parts.particles)[0] - belief.mean[0]
     rmse = float(np.sqrt(np.mean(err ** 2)))
     assert rmse <= 0.1  # 10% of unit measurement noise std
 
@@ -574,12 +572,23 @@ def test_pe_bit_reproducible():
     np.testing.assert_array_equal(p1, p2)
 
 
-def test_pe_refuses_a_non_diagonal_process_noise():
+@pytest.mark.parametrize("Q", [[[1.0, 0.5], [0.5, 1.0]], [[0.0, 1e-3], [1e-3, 0.0]]],
+                         ids=["dense", "zero_diagonal"])
+def test_pe_refuses_a_non_diagonal_process_noise(Q):
     model = LinearModel(np.eye(2))
-    noise = NoiseSpec(np.array([[1.0, 0.5], [0.5, 1.0]]), 1.0, np.eye(2))
+    noise = NoiseSpec(np.array(Q), 1.0, np.eye(2))
     parts = ParticleSet(np.zeros((4, 2)), np.full(4, 0.25))
     with pytest.raises(ValueError, match="diagonal"):
         pe_step(model, noise, parts, 0.0, np.random.default_rng(0))
+
+
+def test_pe_accepts_a_diagonal_process_noise_with_a_zero_entry():
+    model = LinearModel(np.eye(2))
+    noise = NoiseSpec(np.diag([1e-3, 0.0]), 1.0, np.eye(2))
+    parts = ParticleSet(np.zeros((4, 2)), np.full(4, 0.25))
+    new, _ = pe_step(model, noise, parts, 0.0, np.random.default_rng(0))
+    np.testing.assert_array_equal(new.particles[:, 1], np.zeros(4))
+    assert np.count_nonzero(new.particles[:, 0]) == 4
 
 
 def test_pe_requires_two_particles():

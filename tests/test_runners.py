@@ -170,12 +170,14 @@ def test_linear_runner_matches_plain_lke_step_bitwise(kind, params, model):
     runner = build_runner("X", kind, params, RunContext(3, T, 1, OMEGA))
     z = _noisy_sine()
     F, noise = runner.step_fn.F, runner.step_fn.noise
+    forecast = (model.forecaster(3) if isinstance(model, SineModel)
+                else lambda state: multi_step_predict(model, state, 3))
     belief = runner.init_fn(z[0])
     want, got = [], []
     for i in range(z.size):
         if i:
             belief, _ = lke_step(F, noise, belief, z[i])
-        want.append((multi_step_predict(model, belief.mean, 3), belief.cov))
+        want.append((forecast(belief.mean), belief.cov))
         got.append((runner.step(z[i]), runner.covariance()))
     assert np.array([f for f, _ in got]).tobytes() == np.array([f for f, _ in want]).tobytes()
     assert np.array([c for _, c in got]).tobytes() == np.array([c for _, c in want]).tobytes()
@@ -223,7 +225,6 @@ def test_bound_forecasts_match_the_closed_forms_bitwise(horizon):
         runner = build_runner("X", "sine_lke", {"omega": str(omega)}, ctx)
         for state in _random_states(rng, 2):
             got = runner.forecast_fn(GaussianBelief(state, np.eye(2)))
-            assert got.hex() == multi_step_predict(SineModel(omega, T), state, horizon).hex()
             assert got.hex() == _scalar_sine_forecast(state, horizon, omega, T).hex()
 
 

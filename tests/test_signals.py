@@ -71,6 +71,9 @@ def test_gen_sine_validation():
         gen_sine(10, 1.0, 200, 0, 1.0, 0)
     with pytest.raises(ValueError):
         gen_sine(10, 1.0, 200, 10, -1.0, 0)
+    with pytest.raises(ValueError, match="whole number"):
+        gen_sine(10, 1, 200, 10.7, 1, 1)
+    assert len(gen_sine(10, 1, 200, 10.0, 1, 1)) == 10
 
 
 def test_simulate_defaults_are_the_sine_defaults(tmp_path):
