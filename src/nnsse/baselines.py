@@ -134,8 +134,8 @@ class SineModel:
     F: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not self.omega > 0:
-            raise ValueError("omega must be > 0")
+        if not 0 < self.omega < math.inf:
+            raise ValueError(f"omega must be > 0 and finite, got {self.omega}")
         if not self.T > 0:
             raise ValueError("sample period must be > 0")
         c, s = np.cos(self.omega * self.T), np.sin(self.omega * self.T)

@@ -133,7 +133,7 @@ def main(argv=None) -> int:
     commands = {"simulate": _cmd_simulate, "run": _cmd_run, "report": _cmd_report}
     try:
         return commands[args.command](args)
-    except (ConfigError, TrajectoryFormatError, FileNotFoundError) as exc:
+    except (ConfigError, TrajectoryFormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -35,7 +35,7 @@ import math
 
 from .bench import EstimatorSpec, ExperimentConfig, Metric
 from .runners import ConfigError
-from .signals import SINE_DEFAULTS
+from .signals import SINE_DEFAULTS, read_utf8
 
 _RUN_KEYS = ("horizon", "seeds", "windows", "metric", "warmup")
 
@@ -100,12 +100,11 @@ def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                        interpolation=None)
     parser.optionxform = str  # keep parameter case as written
+    text = read_utf8(path, ConfigError)
     try:
-        read = parser.read(str(path), encoding="utf-8")
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:  # a duplicate section or key, a line before any section
         raise ConfigError(" ".join(str(exc).split())) from None
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
 
     if "trajectory" not in parser:
         raise ConfigError("missing [trajectory] section")

@@ -6,6 +6,9 @@ the three Kalman variants end in the same scalar-observation update.  Every
 step returns (posterior, innovation), the innovation being z minus the
 predicted observation: x[0] of the predicted mean for the Kalman variants, the
 prior-weighted mean of the propagated particles' x[0] for the particle one.
+The Kalman variants carry a plain (mean, cov, gain) `GaussianBelief`, taken
+as given: `_lke_prior_cov` and `_scalar_update` make each covariance a filter
+forms symmetric, and a Kalman step refuses a covariance that is not n x n.
 The linear variant takes a transition matrix F.  The others take a model of the
 map x' = A x + e_0 f(x), row 0 of the fixed A being zero: ``lead_batch(X)``
 is f at each row, ``linear_part(X)`` is X A^T, ``lead_gradient(x)`` the
@@ -30,7 +33,7 @@ fixed point, so a chain that shares nothing pays for no flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -61,32 +64,15 @@ def _symmetrized(M: np.ndarray) -> np.ndarray:
     return S
 
 
-@dataclass
-class GaussianBelief:
-    """Posterior mean and covariance; covariance is re-symmetrized on entry.
-
-    ``gain`` is the K of the update that made it (`_scalar_update`, or the
-    one a `SteadyStateLke` schedule kept from `lke_step`); None on a prior."""
+class GaussianBelief(NamedTuple):
+    """Mean and covariance taken as given, with no copy, check or symmetrizing:
+    `_lke_prior_cov` and `_scalar_update` make the filters' covariances
+    symmetric.  ``gain`` is the K of the update that made it (`_scalar_update`,
+    or the one a `SteadyStateLke` schedule kept from `lke_step`); None on a prior."""
 
     mean: np.ndarray
     cov: np.ndarray
-    gain: np.ndarray | None = field(default=None, init=False)
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.cov = _symmetrized(np.asarray(self.cov, dtype=float))
-        n = self.mean.size
-        if self.cov.shape != (n, n):
-            raise ValueError("covariance shape does not match mean length")
-
-    @classmethod
-    def _presymmetrized(cls, mean: np.ndarray, cov: np.ndarray,
-                        gain: np.ndarray) -> "GaussianBelief":
-        """A belief over a float mean, an already symmetric float covariance
-        and its update's gain, taken as they are: no copy, no check."""
-        belief = object.__new__(cls)
-        belief.mean, belief.cov, belief.gain = mean, cov, gain
-        return belief
+    gain: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -115,7 +101,7 @@ class SigmaSet(NamedTuple):
     points: np.ndarray
     mean_weights: np.ndarray
     cov_weights: np.ndarray
-    factor: np.ndarray | None = None  # L: points 1..n = mean + L.T, n+1..2n = mean - L.T
+    factor: np.ndarray  # L: points 1..n = mean + L.T, n+1..2n = mean - L.T
 
 
 def psd_sqrt(M: np.ndarray) -> np.ndarray:
@@ -139,6 +125,8 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
 def uke_sigma_points(belief: GaussianBelief, params: UkeParams = UkeParams()) -> SigmaSet:
     """Sigma points around a Gaussian belief with the scaled-spread weights."""
     n = belief.mean.size
+    if belief.cov.shape != (n, n):
+        raise ValueError("covariance shape does not match mean length")
     lam = params.lam(n)
     s = n + lam
     if not s > 0:
@@ -179,7 +167,7 @@ def _scalar_update(x_pred: np.ndarray, P_pred: np.ndarray, R: float, z: float):
     K = _gain(c, R)
     mean, innovation = _mean_update(x_pred, K, z)
     P_pred -= K[:, None] * c
-    return GaussianBelief._presymmetrized(mean, _symmetrized(P_pred), K), innovation
+    return GaussianBelief(mean, _symmetrized(P_pred), K), innovation
 
 
 def _lke_prior_cov(F: np.ndarray, noise: NoiseSpec, cov: np.ndarray) -> np.ndarray:
@@ -193,7 +181,7 @@ def lke_step(F: np.ndarray, noise: NoiseSpec, belief: GaussianBelief, z: float):
     """Linear Kalman predict/update; returns (posterior, innovation)."""
     F = np.asarray(F, dtype=float)
     n = belief.mean.size
-    if F.shape != (n, n) or noise.Q.shape != (n, n):
+    if F.shape != (n, n) or noise.Q.shape != (n, n) or belief.cov.shape != (n, n):
         raise ValueError("inconsistent dimensions in lke_step")
     return _scalar_update(F.dot(belief.mean), _lke_prior_cov(F, noise, belief.cov), noise.R, z)
 
@@ -266,7 +254,7 @@ class SteadyStateLke:
     def __call__(self, belief: GaussianBelief, z: float):
         if belief.cov is self.cov:  # the fixed point; None, before it, matches no belief
             mean, innovation = _mean_update(self.F.dot(belief.mean), self.gain, z)
-            return GaussianBelief._presymmetrized(mean, self.cov, self.gain), innovation
+            return GaussianBelief(mean, self.cov, self.gain), innovation
         if belief.cov is not self._at:
             self._start(belief.cov)
         s = self._schedule
@@ -281,7 +269,7 @@ class SteadyStateLke:
             self._k, self._at = k, P
             if s.complete and k == len(covs) - 1:
                 self.cov, self.gain = P, K
-            return GaussianBelief._presymmetrized(mean, P, K), innovation
+            return GaussianBelief(mean, P, K), innovation
         posterior, innovation = lke_step(self.F, self.noise, belief, z)
         P, K = posterior.cov, posterior.gain
         s.complete = P.tobytes() == belief.cov.tobytes() and bool(np.isfinite(P).all())

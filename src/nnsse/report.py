@@ -23,7 +23,7 @@ import numpy as np
 
 from .bench import RunReport
 from .runners import ConfigError
-from .signals import save_trajectory
+from .signals import read_utf8, save_trajectory
 
 SCALE_THRESHOLD = 1e4
 SCALE_LABEL = "×10⁴"  # x10^4
@@ -246,16 +246,15 @@ def _report_fault(data) -> str | None:
 
 def load_report(path) -> dict:
     """Read back a persisted report.json (or the directory holding one); one
-    that is not JSON, or lacks a key rendering reads or holds it with the
-    wrong type, is a `ConfigError`."""
+    that cannot be read, is not UTF-8 or JSON, or lacks a key rendering reads
+    or holds it with the wrong type, is a `ConfigError`."""
     p = Path(path)
     if p.is_dir():
         p = p / "report.json"
-    with open(p, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{p} is not valid JSON: {exc}") from None
+    try:
+        data = json.loads(read_utf8(p, ConfigError))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{p} is not valid JSON: {exc}") from None
     fault = _report_fault(data)
     if fault:
         raise ConfigError(f"{p} is not a report: {fault}")

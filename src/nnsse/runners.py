@@ -191,11 +191,6 @@ def _uam_noise(m: UamModel, q: float, r: float, p0: float) -> NoiseSpec:
     return NoiseSpec(Q, r, p0 * np.eye(k))
 
 
-def _belief_at(mean_fn, P0):
-    """``init_fn`` of a Kalman runner: the belief (mean_fn(z), P0)."""
-    return lambda z: GaussianBelief(mean_fn(z), P0)
-
-
 def _uam_runner(name, kind, p, ctx: RunContext) -> Runner:
     a = ctx.horizon
     m = UamModel(p["order"], ctx.sample_period)
@@ -204,9 +199,9 @@ def _uam_runner(name, kind, p, ctx: RunContext) -> Runner:
         step_fn = SteadyStateLke(m.F, noise, ctx.lke_schedules)
     else:
         step_fn = partial(uke_step, m, noise, params=_uke_params(p, m.order))
-    init_fn = _belief_at(lambda z: np.concatenate([[z], np.zeros(m.order - 1)]), noise.Pi0)
-    return FilterRunner(name, a, init_fn, step_fn,
-                        lambda belief: multi_step_predict(m, belief.mean, a), m.order)
+    rest = np.zeros(m.order - 1)  # the derivatives start at zero
+    return FilterRunner(name, a, lambda z: GaussianBelief(np.concatenate([[z], rest]), noise.Pi0),
+                        step_fn, lambda belief: multi_step_predict(m, belief.mean, a), m.order)
 
 
 def _sine_runner(name, kind, p, ctx: RunContext) -> Runner:
@@ -215,12 +210,15 @@ def _sine_runner(name, kind, p, ctx: RunContext) -> Runner:
     m = SineModel(omega, ctx.sample_period)
     noise = NoiseSpec(p["q"] * np.eye(2), p["r"], p["p0"] * np.eye(2))
     forecast = m.forecaster(a)
-    return FilterRunner(name, a, _belief_at(lambda z: np.array([z, 0.0]), noise.Pi0),
+    return FilterRunner(name, a, lambda z: GaussianBelief(np.array([z, 0.0]), noise.Pi0),
                         SteadyStateLke(m.F, noise, ctx.lke_schedules),
                         lambda belief: forecast(belief.mean), 2)
 
 
 def _uke_params(p, n: int) -> UkeParams:
+    for key in ("alpha", "beta", "kappa"):
+        if not math.isfinite(p[key]):
+            raise ValueError(f"{key} must be finite, got {p[key]}")
     params = UkeParams(p["alpha"], p["beta"], p["kappa"])
     if not n + params.lam(n) > 0:  # `uke_sigma_points` refuses it at step 1
         raise ValueError(f"n + lambda = alpha^2 (n + kappa) must be positive, n = {n}")
@@ -256,12 +254,15 @@ def _nnssm_init_fn(p, top: Topology, rng: np.random.Generator):
 
     A network spelled weighted_sum or ws starts as the newest-position
     selector (persistence predictor); layer widths, 25-1 included, start
-    uniform in +-init_scale.
+    uniform in +-init_scale (finite and >= 0, checked under either spelling).
     """
+    scale = p["init_scale"]
+    if not 0 <= scale < math.inf:
+        raise ValueError(f"init_scale must be finite and >= 0, got {scale}")
     if p["network"].strip().lower() in _WEIGHTED_SUM:
         w0 = np.eye(1, top.weight_count)[0]
     else:
-        w0 = rng.uniform(-p["init_scale"], p["init_scale"], top.weight_count)
+        w0 = rng.uniform(-scale, scale, top.weight_count)
     return lambda z: np.concatenate([np.full(top.position_count, z), w0])
 
 
@@ -293,7 +294,7 @@ def _nnsse_runner(name, kind, p, ctx: RunContext) -> Runner:
         step_fn = partial(uke_step, top, noise, params=_uke_params(p, top.state_dim))
     else:
         step_fn = partial(eke_step, top, noise)
-    return FilterRunner(name, a, _belief_at(mean_at, noise.Pi0), step_fn,
+    return FilterRunner(name, a, lambda z: GaussianBelief(mean_at(z), noise.Pi0), step_fn,
                         lambda belief: nnmodel.predict_ahead_batch(top, belief.mean[None])[0],
                         top.input_width)
 
@@ -315,7 +316,7 @@ def _stack_runner(name, kind, p, ctx: RunContext) -> Runner:
         raise ConfigError(f"unknown stack mode {mode!r}")
     k = stack.k
     noise = NoiseSpec(p["q"] * np.eye(k), p["r"], p["p0"] * np.eye(k))
-    return FilterRunner(name, a, _belief_at(lambda z: np.full(k, z), noise.Pi0),
+    return FilterRunner(name, a, lambda z: GaussianBelief(np.full(k, z), noise.Pi0),
                         SteadyStateLke(stack.F, noise, ctx.lke_schedules),
                         lambda belief: multi_step_predict(stack, belief.mean, a), k)
 

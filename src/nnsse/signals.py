@@ -16,6 +16,7 @@ written with 17 significant digits so values round-trip losslessly.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -28,7 +29,7 @@ _PERIOD_RTOL = 1e-6
 
 
 class TrajectoryFormatError(ValueError):
-    """Raised on malformed trajectory CSV input; includes the line number."""
+    """Raised on trajectory CSV input that cannot be read, or is malformed (with a line number)."""
 
 
 @dataclass
@@ -133,62 +134,72 @@ def save_trajectory(path, trajectory: Trajectory,
         fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
+def read_utf8(path, error: type[ValueError]) -> str:
+    """A UTF-8 file's text; one that cannot be read or decoded raises ``error``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_trajectory(path) -> Trajectory:
     """Read the CSV schema back; unknown columns are ignored.
 
     Raises `TrajectoryFormatError` (with a line number where applicable) on a
-    missing required column, a non-numeric or non-finite cell, an
-    inconsistent row length, a file with no data rows, a time that does not
-    exceed the one before it, a time step that differs from the first by more
-    than 1e-6 relative, or an empty truth cell in a truth column that has
-    values on other rows.  The sample period is the first time step, t[1] -
-    t[0] (1.0 for a single row).
+    file that cannot be read or is not UTF-8, a missing required column, a
+    non-numeric or non-finite cell, an inconsistent row length, a file with
+    no data rows, a time that does not exceed the one before it, a time step
+    that differs from the first by more than 1e-6 relative, or an empty truth
+    cell in a truth column that has values on other rows.  The sample period
+    is the first time step, t[1] - t[0] (1.0 for a single row).
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TrajectoryFormatError("empty file: no header row") from None
-        header = [h.strip() for h in header]
-        for col in REQUIRED_COLUMNS:
-            if col not in header:
-                raise TrajectoryFormatError(f"missing column {col!r} in header")
-        idx = {name: header.index(name) for name in header}
-        has_truth = "truth" in idx
+    reader = csv.reader(io.StringIO(read_utf8(path, TrajectoryFormatError)))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TrajectoryFormatError("empty file: no header row") from None
+    header = [h.strip() for h in header]
+    for col in REQUIRED_COLUMNS:
+        if col not in header:
+            raise TrajectoryFormatError(f"missing column {col!r} in header")
+    idx = {name: header.index(name) for name in header}
+    has_truth = "truth" in idx
 
-        times: list[float] = []
-        truth: list[float] = []
-        meas: list[float] = []
-        first_empty_truth = first_truth = None
-        period = 1.0
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and row[0].strip() == ""):
-                continue
-            if len(row) != len(header):
-                raise TrajectoryFormatError(
-                    f"line {line_no}: expected {len(header)} cells, got {len(row)}")
-            t = _parse_cell(row[idx["t"]], "t", line_no)
-            if times and not t > times[-1]:
-                raise TrajectoryFormatError(
-                    f"line {line_no}: time column must be strictly increasing "
-                    f"({row[idx['t']]!r} after {times[-1]!r})")
-            if len(times) == 1:
-                period = t - times[0]
-            elif times and not abs(t - times[-1] - period) <= _PERIOD_RTOL * period:
-                raise TrajectoryFormatError(
-                    f"line {line_no}: time step {t - times[-1]!r} differs from the "
-                    f"first time step {period!r}; samples must be uniformly spaced")
-            times.append(t)
-            meas.append(_parse_cell(row[idx["measurement"]], "measurement", line_no))
-            if has_truth:
-                cell = row[idx["truth"]].strip()
-                if cell == "":
-                    truth.append(np.nan)
-                    first_empty_truth = first_empty_truth or line_no
-                else:
-                    truth.append(_parse_cell(cell, "truth", line_no))
-                    first_truth = first_truth or line_no
+    times: list[float] = []
+    truth: list[float] = []
+    meas: list[float] = []
+    first_empty_truth = first_truth = None
+    period = 1.0
+    for line_no, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and row[0].strip() == ""):
+            continue
+        if len(row) != len(header):
+            raise TrajectoryFormatError(
+                f"line {line_no}: expected {len(header)} cells, got {len(row)}")
+        t = _parse_cell(row[idx["t"]], "t", line_no)
+        if times and not t > times[-1]:
+            raise TrajectoryFormatError(
+                f"line {line_no}: time column must be strictly increasing "
+                f"({row[idx['t']]!r} after {times[-1]!r})")
+        if len(times) == 1:
+            period = t - times[0]
+        elif times and not abs(t - times[-1] - period) <= _PERIOD_RTOL * period:
+            raise TrajectoryFormatError(
+                f"line {line_no}: time step {t - times[-1]!r} differs from the "
+                f"first time step {period!r}; samples must be uniformly spaced")
+        times.append(t)
+        meas.append(_parse_cell(row[idx["measurement"]], "measurement", line_no))
+        if has_truth:
+            cell = row[idx["truth"]].strip()
+            if cell == "":
+                truth.append(np.nan)
+                first_empty_truth = first_empty_truth or line_no
+            else:
+                truth.append(_parse_cell(cell, "truth", line_no))
+                first_truth = first_truth or line_no
 
     if not meas:
         raise TrajectoryFormatError("empty trajectory: header only, no data rows")

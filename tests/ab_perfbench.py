@@ -14,6 +14,14 @@ each side's median and quartiles, the change of the medians, the number of
 pairs the change won (ties count for neither side) and whether the gain rule
 holds: the change wins at least nine tenths of the pairs and its median
 differs from the parent's by more than the parent's interquartile range.
+Next to it stands the no-regression verdict against the metric's ``bound``,
+a share of the parent's median:
+
+- ``ok``: the change's median is worse than the parent's by at most the bound;
+- ``worse``: it is worse by more than the bound;
+- ``unresolved``: the parent's interquartile range is wider than the bound,
+  unless every change run beats every parent run.
+
 It exits 1 if any run failed or reported an incorrect result.
 
 The script writes nothing into either checkout: its child interpreters run
@@ -65,7 +73,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def summarize(metrics: list[dict], pairs: list[dict]) -> list[str]:
     """One line per end-to-end metric over the pairs that measured it."""
     lines = [f"{'metric':24s} {'unit':5s} {'parent median [q1, q3]':28s} "
-             f"{'change median [q1, q3]':28s} {'change':>8s} {'wins':>6s}  gain rule"]
+             f"{'change median [q1, q3]':28s} {'change':>8s} {'wins':>6s}  "
+             f"{'gain rule':9s}  {'bound':>5s} no regression"]
     for spec in metrics:
         name, lower = spec["name"], spec["better"] == "lower"
         measured = [p for p in pairs
@@ -81,10 +90,18 @@ def summarize(metrics: list[dict], pairs: list[dict]) -> list[str]:
         better = (cmed < pmed) if lower else (cmed > pmed)
         met = wins >= 0.9 * len(measured) and better and abs(cmed - pmed) > pq3 - pq1
         rel = f"{(cmed - pmed) / pmed:+.1%}" if pmed else "n/a"
+        slack = spec["bound"] * abs(pmed)
+        all_beat = (max(values["change"]) < min(values["parent"]) if lower
+                    else min(values["change"]) > max(values["parent"]))
+        if pq3 - pq1 > slack and not all_beat:
+            verdict = "unresolved"
+        else:
+            verdict = "worse" if ((cmed - pmed) if lower else (pmed - cmed)) > slack else "ok"
         lines.append(f"{name:24s} {spec['unit']:5s} "
                      f"{f'{pmed:.4g} [{pq1:.4g}, {pq3:.4g}]':28s} "
                      f"{f'{cmed:.4g} [{cq1:.4g}, {cq3:.4g}]':28s} {rel:>8s} "
-                     f"{f'{wins}/{len(measured)}':>6s}  {'met' if met else 'not met'}")
+                     f"{f'{wins}/{len(measured)}':>6s}  {'met' if met else 'not met':9s}  "
+                     f"{spec['bound']:5.3g} {verdict}")
     return lines
 
 

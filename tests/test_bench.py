@@ -447,6 +447,31 @@ def test_python_dash_m_runs_the_cli():
     assert "--parallel" in proc.stdout
 
 
+@pytest.mark.parametrize("reader, path", [
+    ("config", "not_utf8"), ("config", "folder"), ("trajectory", "not_utf8"),
+    ("trajectory", "folder"), ("trajectory", "missing"), ("report", "not_utf8"),
+    ("report", "missing")])
+def test_unreadable_input_is_a_one_line_config_error(reader, path, tmp_path):
+    (tmp_path / "not_utf8").write_bytes(b"step,t,measurement\n0,0,1.5\xff\n")
+    (tmp_path / "folder").mkdir()
+    path = tmp_path / path
+    config = tmp_path / "run.ini"
+    config.write_text(f"[trajectory]\nsource = file\npath = {path}\n[run]\nwindows = 0:10\n"
+                      f"[estimator:X]\nkind = uam_lke\n", encoding="utf-8")
+    argv = {"config": ["run", "--config", str(path)],
+            "trajectory": ["run", "--config", str(config)],
+            "report": ["report", "--report", str(path)]}[reader]
+    argv += ["--out-dir", str(tmp_path / "out")]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-m", "nnsse", *argv],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == EXIT_CONFIG
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ("{\"horizon\": 3,", "is not valid JSON"),
     ("[]", "is not a report: missing horizon"),

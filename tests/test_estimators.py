@@ -192,6 +192,22 @@ def test_lke_dimension_check():
         lke_step(np.eye(3), noise, belief, 0.0)
 
 
+@pytest.mark.parametrize("step", ["lke", "uke", "eke"])
+def test_kalman_steps_refuse_a_covariance_that_is_not_n_by_n(step):
+    # A belief takes its arrays as given; the step that reads its covariance
+    # refuses one that is not n x n, whether it holds zeros or ones.
+    F = uam3_F()
+    model = LinearModel(F)
+    noise = NoiseSpec(np.diag([1e-4, 1e-3, 1e-2]), 1.0, np.eye(3))
+    run = {"lke": lambda belief: lke_step(F, noise, belief, 0.5),
+           "uke": lambda belief: uke_step(model, noise, belief, 0.5),
+           "eke": lambda belief: eke_step(model, noise, belief, 0.5)}[step]
+    for shape in [(3, 4), (4, 3), (4, 4), (2, 2), (3,), (9,), (1, 3, 3), (3, 3, 1), ()]:
+        for fill in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                run(GaussianBelief(np.zeros(3), np.full(shape, fill)))
+
+
 # ---------------------------------------------------------------------------
 # SteadyStateLke
 
@@ -202,8 +218,8 @@ def _repeat_cov_stub(calls):
 
     def stub(F, noise, belief, z):
         calls.append(z)
-        return GaussianBelief._presymmetrized(belief.mean + 1.0, belief.cov.copy(),
-                                              np.zeros_like(belief.mean)), 0.0
+        return GaussianBelief(belief.mean + 1.0, belief.cov.copy(),
+                              np.zeros_like(belief.mean)), 0.0
 
     return stub
 
@@ -250,7 +266,7 @@ def test_steady_state_lke_steps_other_beliefs_through_lke_step(monkeypatch):
     assert frozen.gain is step.gain and frozen.gain.tobytes() == plain.gain.tobytes()
     assert innovation == plain_innovation
     # A belief with an equal but distinct covariance takes the plain path.
-    other = GaussianBelief(belief.mean, belief.cov)
+    other = GaussianBelief(belief.mean, belief.cov.copy())
     posterior, _ = step(other, 0.5)
     assert calls == [1] and posterior.mean.tobytes() == plain.mean.tobytes()
 

@@ -104,6 +104,16 @@ def test_unconvertible_value_is_a_config_error(kind, key, value, tmp_path, capsy
     ("e4ptrw", "window = 4", "e4ptrw window must be >= 5"),
     ("nnsse_uke", "activation = tanh", "weighted_sum network has no hidden activation"),
     ("nnsse_eke", "network = 25-1\nactivation = tanh", "25-1 network has no hidden activation"),
+    ("nnsse_uke", "network = 5-5-1\ninit_scale = inf", "init_scale must be finite and >= 0"),
+    ("nnsse_eke", "network = 5-5-1\ninit_scale = nan", "init_scale must be finite and >= 0"),
+    ("nnsse_pe", "network = 5-5-1\ninit_scale = inf", "init_scale must be finite and >= 0"),
+    ("nnsse_uke", "network = 5-5-1\ninit_scale = -1", "init_scale must be finite and >= 0"),
+    ("sine_lke", "omega = inf", "omega must be > 0 and finite"),
+    ("nnsse_uke", "alpha = inf", "alpha must be finite"),
+    ("uam_uke", "alpha = inf", "alpha must be finite"),
+    ("nnsse_uke", "beta = inf", "beta must be finite"),
+    ("uam_uke", "beta = inf", "beta must be finite"),
+    ("uam_uke", "kappa = inf", "kappa must be finite"),
 ])
 def test_value_the_builder_refuses_is_a_config_error(kind, line, message, tmp_path,
                                                       capsys):
@@ -263,6 +273,21 @@ def _predicted_observation(kind, runner, state):
     cloud = top.transition_batch(state.particles)
     cloud += rng.standard_normal(cloud.shape) * np.sqrt(np.diagonal(noise.Q))
     return float(state.weights @ cloud[:, 0])
+
+
+@pytest.mark.parametrize("kind, params", FILTER_KINDS, ids=[k for k, _ in FILTER_KINDS])
+def test_a_step_leaves_the_state_it_reads_unchanged(kind, params):
+    # The first belief's covariance is the noise spec's P0 itself, not a copy,
+    # so no step may write into the arrays of the state it is handed.
+    runner = build_runner("X", kind, params, RunContext(3, T, 1, OMEGA))
+    z = _noisy_sine(2).tolist()
+    runner.step(z[0])
+    first = runner.state
+    arrays = [a for a in first if a is not None]  # a prior belief has no gain
+    before = [a.tobytes() for a in arrays]
+    runner.step(z[1])
+    assert runner.state is not first
+    assert [a.tobytes() for a in arrays] == before
 
 
 @pytest.mark.parametrize("kind, params", FILTER_KINDS, ids=[k for k, _ in FILTER_KINDS])
