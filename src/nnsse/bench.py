@@ -8,7 +8,7 @@ input window in the roster, at least the horizon) are excluded from error
 accumulation.  Estimator failures are isolated: the rest of the roster keeps
 running and the failure is recorded in the report.  A non-finite forecast
 counts as such a failure: it ends that estimator's run like an
-`EstimatorError` does.
+`EstimatorError` does, and so does a window total that overflows.
 
 With ``audit``, every Gaussian estimator's covariance P is checked after each
 step (`CovarianceAudit`).  The run records the largest |P - Pᵀ| entry and the
@@ -76,17 +76,23 @@ class EstimatorSpec:
 
 @dataclass
 class ExperimentConfig:
-    """Resolved experiment description (see config.py for the file grammar)."""
+    """Resolved experiment description (see config.py for the file grammar).
+    Its field defaults are the one table of ``[run]`` defaults; empty
+    ``windows`` are the whole run of a sine trajectory."""
 
     trajectory: dict                       # sine params or {"path": ...}
-    horizon: int
     estimators: list[EstimatorSpec]
-    windows: list[tuple[int, int]]
+    horizon: int = 3
+    windows: list[tuple[int, int]] = field(default_factory=list)
     metric: Metric = Metric.ABS_SUM
     seeds: list[int] = field(default_factory=lambda: [1])
     warmup: int | None = None              # None: max(horizon, input windows)
 
     def __post_init__(self):
+        if not self.windows:
+            if self.trajectory.get("source", "sine") == "file":
+                raise ConfigError("windows = is required for file trajectories")
+            self.windows = [(0, int(self.trajectory.get("steps", SINE_DEFAULTS["steps"])))]
         if not self.estimators:
             raise ConfigError("estimator roster must not be empty")
         if self.horizon < 1:
@@ -175,21 +181,14 @@ class SeedRun:
 
 @dataclass
 class RunReport:
-    config_echo: dict
-    horizon: int
+    config: ExperimentConfig
     warmup: int
-    metric: Metric
-    windows: list[tuple[int, int]]
     seed_runs: list[SeedRun]
 
     @property
     def failures(self) -> list[tuple[int, str, str]]:
-        out = []
-        for run in self.seed_runs:
-            for name, res in run.results.items():
-                if res.failure:
-                    out.append((run.seed, name, res.failure))
-        return out
+        return [(run.seed, name, res.failure) for run in self.seed_runs
+                for name, res in run.results.items() if res.failure]
 
 
 def resolve_warmup(config: ExperimentConfig, runners: list[Runner]) -> int:
@@ -338,10 +337,13 @@ def run_single_seed(config: ExperimentConfig, seed: int, audit: bool = False,
     if first_target >= n:
         raise ConfigError(
             f"trajectory too short ({n} steps) for warmup {warmup} + horizon {a}")
+    spans = {}  # label -> the window clipped to the scored steps
     for (s, e) in config.windows:
-        if min(e, n) <= max(s, first_target):
+        lo, hi = max(s, first_target), min(e, n)
+        if hi <= lo:
             raise ConfigError(
                 f"window {(s, e)} has no steps past warmup+horizon ({first_target})")
+        spans[f"{s}-{e}"] = (lo, hi)
 
     ref = traj.reference
     z = traj.measurement.tolist()  # runners step on Python floats
@@ -369,17 +371,19 @@ def run_single_seed(config: ExperimentConfig, seed: int, audit: bool = False,
         seconds = time.perf_counter() - t0
         preds = np.array(preds, dtype=float)
 
+        aligned = np.concatenate([np.full(a, np.nan), preds[:n - a]])  # at target steps
         errors = np.full(n, np.nan)
-        valid = slice(first_target, n)
-        errors[valid] = preds[first_target - a:n - a] - ref[valid]
+        errors[first_target:] = aligned[first_target:] - ref[first_target:]
         window_errors: dict[str, float] = {}
         if failure is None:
-            aligned = np.concatenate([np.full(a, np.nan), preds[:n - a]])
-            for w in config.windows:
-                lo = max(w[0], first_target)
-                hi = min(w[1], n)
-                window_errors[f"{w[0]}-{w[1]}"] = accumulated_error(
-                    aligned, ref, (lo, hi), config.metric)
+            for label, span in spans.items():
+                with np.errstate(over="ignore"):  # an overflow fails the estimator below
+                    total = accumulated_error(aligned, ref, span, config.metric)
+                if not math.isfinite(total):
+                    failure = f"window {label}: non-finite error total"
+                    window_errors = {}
+                    break
+                window_errors[label] = total
         results[runner.name] = EstimatorResult(
             predictions=preds,
             errors=errors,
@@ -434,6 +438,4 @@ def run_experiment(config: ExperimentConfig, audit: bool = False,
     else:
         schedules: dict = {}
         seed_runs = [run_single_seed(config, s, audit, schedules) for s in config.seeds]
-    warmup = seed_runs[0].warmup
-    return RunReport(config.echo(), config.horizon, warmup, config.metric,
-                     list(config.windows), seed_runs)
+    return RunReport(config, seed_runs[0].warmup, seed_runs)

@@ -66,6 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
+    if args.out.is_dir():
+        raise ConfigError(f"--out {args.out} is a directory")
+    _check_out_dir(args.out.parent, f"--out {args.out}")
     try:
         traj = gen_sine(**{key: getattr(args, key) for key in SINE_DEFAULTS},
                         seed=args.seed)
@@ -77,15 +80,17 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _check_out_dir(path: Path) -> None:
+def _check_out_dir(path: Path, label: str | None = None) -> None:
     """Refuse an output path that cannot be a directory before any work; it is
-    not created here, so a run its config refuses leaves no directory."""
+    not created here, so a run its config refuses leaves no directory.  The
+    message starts with ``label``, by default ``--out-dir PATH``."""
+    label = label or f"--out-dir {path}"
     try:
         existing = next(p for p in (path, *path.absolute().parents) if p.exists())
     except OSError as exc:
-        raise ConfigError(f"--out-dir {path}: {exc}") from None
+        raise ConfigError(f"{label}: {exc}") from None
     if not existing.is_dir():
-        raise ConfigError(f"--out-dir {path}: {existing} is not a directory")
+        raise ConfigError(f"{label}: {existing} is not a directory")
 
 
 def _cmd_run(args) -> int:

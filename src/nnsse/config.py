@@ -22,10 +22,12 @@ Grammar (``configs/table1.ini`` is a complete example)::
     kind = nnsse_uke         # a kind of runners.ESTIMATOR_KINDS
     <parameter> = <value>
 
-Unknown keys in ``[trajectory]`` (the sine keys included, under
-``source = file``) and ``[run]`` are rejected here.  `runners.ESTIMATOR_KINDS`
-is the one table of estimator kinds, the keys each accepts and their
-defaults.  Unknown estimator parameters are rejected at build time, not here.
+Any ``[run]`` key may be left out: the ``[run]`` defaults live only in the
+field defaults of `bench.ExperimentConfig`.  Unknown keys in ``[trajectory]``
+(the sine keys included, under ``source = file``) and ``[run]`` are rejected
+here.  `runners.ESTIMATOR_KINDS` is the one table of estimator kinds, the
+keys each accepts and their defaults.  Unknown estimator parameters are
+rejected at build time, not here.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ import math
 from .bench import EstimatorSpec, ExperimentConfig, Metric
 from .runners import ConfigError
 from .signals import SINE_DEFAULTS, read_utf8
-
-_RUN_KEYS = ("horizon", "seeds", "windows", "metric", "warmup")
 
 
 def _reject_unknown_keys(name: str, section, known) -> None:
@@ -65,6 +65,16 @@ def _split_windows(text: str) -> list[tuple[int, int]]:
             raise ConfigError(
                 f"expected window as start:end, got {token!r}") from None
     return windows
+
+
+# [run] key -> parser of its text; an absent key takes its field's default.
+_RUN_KEYS = {
+    "horizon": int,
+    "seeds": _split_ints,
+    "windows": _split_windows,
+    "metric": Metric.parse,
+    "warmup": lambda text: int(text) if text.strip() else None,
+}
 
 
 def _trajectory_section(section) -> dict:
@@ -115,12 +125,7 @@ def load_config(path) -> ExperimentConfig:
 
         run = parser["run"]
         _reject_unknown_keys("run", run, _RUN_KEYS)
-        horizon = int(run.get("horizon", 3))
-        seeds = _split_ints(run.get("seeds", "1"))
-        windows = _split_windows(run.get("windows", ""))
-        metric = Metric.parse(run.get("metric", "abs_sum"))
-        warmup = run.get("warmup", "").strip()
-        warmup_val = int(warmup) if warmup else None
+        run_values = {key: parse(run[key]) for key, parse in _RUN_KEYS.items() if key in run}
 
         estimators = []
         for section in parser.sections():
@@ -140,20 +145,4 @@ def load_config(path) -> ExperimentConfig:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
-
-    if not windows:
-        steps = trajectory.get("steps")
-        if steps:
-            windows = [(0, int(steps))]
-        else:
-            raise ConfigError("windows = is required for file trajectories")
-
-    return ExperimentConfig(
-        trajectory=trajectory,
-        horizon=horizon,
-        estimators=estimators,
-        windows=windows,
-        metric=metric,
-        seeds=seeds,
-        warmup=warmup_val,
-    )
+    return ExperimentConfig(trajectory, estimators, **run_values)

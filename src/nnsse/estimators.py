@@ -110,6 +110,8 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
     An exactly zero matrix factors to zero.  Any other matrix Cholesky refuses
     raises `CovarianceDegeneracyError` with n and its smallest eigenvalue."""
     M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
     try:
         return np.linalg.cholesky(M)
     except np.linalg.LinAlgError:

@@ -31,11 +31,11 @@ SCALE_LABEL = "×10⁴"  # x10^4
 
 def report_to_dict(report: RunReport) -> dict:
     data = {
-        "config": report.config_echo,
-        "horizon": report.horizon,
+        "config": report.config.echo(),
+        "horizon": report.config.horizon,
         "warmup": report.warmup,
-        "metric": report.metric.value,
-        "windows": [list(w) for w in report.windows],
+        "metric": report.config.metric.value,
+        "windows": [list(w) for w in report.config.windows],
         "seeds": [run.seed for run in report.seed_runs],
         "results": [],
     }

@@ -58,9 +58,8 @@ def estimator_rng(run_seed: int, name: str) -> np.random.Generator:
 class Runner:
     """Base runner: feed measurements, collect horizon-step forecasts."""
 
-    def __init__(self, name: str, horizon: int, warmup_hint: int = 1):
+    def __init__(self, name: str, warmup_hint: int = 1):
         self.name = name
-        self.horizon = int(horizon)
         self.warmup_hint = warmup_hint
 
     def step(self, z: float) -> float:
@@ -87,8 +86,8 @@ class FilterRunner(Runner):
     per-particle forecasts.
     """
 
-    def __init__(self, name, horizon, init_fn, step_fn, forecast_fn, warmup_hint):
-        super().__init__(name, horizon, warmup_hint)
+    def __init__(self, name, init_fn, step_fn, forecast_fn, warmup_hint):
+        super().__init__(name, warmup_hint)
         self.init_fn = init_fn
         self.step_fn = step_fn
         self.forecast_fn = forecast_fn
@@ -115,7 +114,8 @@ class OpenLoopStackRunner(Runner):
     """
 
     def __init__(self, name, horizon, stack: StackModel):
-        super().__init__(name, horizon, stack.k)
+        super().__init__(name, stack.k)
+        self.horizon = int(horizon)
         self.stack = stack
         self.window = np.zeros(stack.k)
         self.seen = 0
@@ -200,17 +200,16 @@ def _uam_runner(name, kind, p, ctx: RunContext) -> Runner:
     else:
         step_fn = partial(uke_step, m, noise, params=_uke_params(p, m.order))
     rest = np.zeros(m.order - 1)  # the derivatives start at zero
-    return FilterRunner(name, a, lambda z: GaussianBelief(np.concatenate([[z], rest]), noise.Pi0),
+    return FilterRunner(name, lambda z: GaussianBelief(np.concatenate([[z], rest]), noise.Pi0),
                         step_fn, lambda belief: multi_step_predict(m, belief.mean, a), m.order)
 
 
 def _sine_runner(name, kind, p, ctx: RunContext) -> Runner:
-    a = ctx.horizon
     omega = float(ctx.sine_omega or 1.0) if p["omega"] is None else p["omega"]
     m = SineModel(omega, ctx.sample_period)
     noise = NoiseSpec(p["q"] * np.eye(2), p["r"], p["p0"] * np.eye(2))
-    forecast = m.forecaster(a)
-    return FilterRunner(name, a, lambda z: GaussianBelief(np.array([z, 0.0]), noise.Pi0),
+    forecast = m.forecaster(ctx.horizon)
+    return FilterRunner(name, lambda z: GaussianBelief(np.array([z, 0.0]), noise.Pi0),
                         SteadyStateLke(m.F, noise, ctx.lke_schedules),
                         lambda belief: forecast(belief.mean), 2)
 
@@ -267,8 +266,7 @@ def _nnssm_init_fn(p, top: Topology, rng: np.random.Generator):
 
 
 def _nnsse_runner(name, kind, p, ctx: RunContext) -> Runner:
-    a = ctx.horizon
-    top = _parse_network(p, a)
+    top = _parse_network(p, ctx.horizon)
     n_pos, c = top.position_count, top.weight_count
     noise = NoiseSpec(np.diag([p["q_pos"]] * n_pos + [p["q_w"]] * c), p["r"],
                       np.diag([p["p0_pos"]] * n_pos + [p["p0_w"]] * c))
@@ -288,13 +286,13 @@ def _nnsse_runner(name, kind, p, ctx: RunContext) -> Runner:
         def forecast(cloud):
             return cloud.weights @ nnmodel.predict_ahead_batch(top, cloud.particles)
 
-        return FilterRunner(name, a, cloud_at, partial(pe_step, top, noise, rng=rng), forecast,
+        return FilterRunner(name, cloud_at, partial(pe_step, top, noise, rng=rng), forecast,
                             top.input_width)
     if kind == "nnsse_uke":
         step_fn = partial(uke_step, top, noise, params=_uke_params(p, top.state_dim))
     else:
         step_fn = partial(eke_step, top, noise)
-    return FilterRunner(name, a, lambda z: GaussianBelief(mean_at(z), noise.Pi0), step_fn,
+    return FilterRunner(name, lambda z: GaussianBelief(mean_at(z), noise.Pi0), step_fn,
                         lambda belief: nnmodel.predict_ahead_batch(top, belief.mean[None])[0],
                         top.input_width)
 
@@ -316,7 +314,7 @@ def _stack_runner(name, kind, p, ctx: RunContext) -> Runner:
         raise ConfigError(f"unknown stack mode {mode!r}")
     k = stack.k
     noise = NoiseSpec(p["q"] * np.eye(k), p["r"], p["p0"] * np.eye(k))
-    return FilterRunner(name, a, lambda z: GaussianBelief(np.full(k, z), noise.Pi0),
+    return FilterRunner(name, lambda z: GaussianBelief(np.full(k, z), noise.Pi0),
                         SteadyStateLke(stack.F, noise, ctx.lke_schedules),
                         lambda belief: multi_step_predict(stack, belief.mean, a), k)
 

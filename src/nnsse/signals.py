@@ -135,10 +135,12 @@ def save_trajectory(path, trajectory: Trajectory,
 
 
 def read_utf8(path, error: type[ValueError]) -> str:
-    """A UTF-8 file's text; one that cannot be read or decoded raises ``error``."""
+    """A UTF-8 file's text, less a leading byte-order mark (dropped after
+    decoding: error offsets count the file's bytes); one that cannot be read
+    or decoded raises ``error``."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except OSError as exc:
         raise error(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:

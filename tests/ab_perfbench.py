@@ -1,21 +1,25 @@
 """Alternating parent/change pairs of the benchmark in two checkouts.
 
     python tests/ab_perfbench.py PARENT_DIR CHANGE_DIR --workload stacks \\
-        [--pairs 10] [--seconds 50] [--first-seed 1]
+        [replay_audit ...] [--pairs 10] [--seconds 50] [--first-seed 1]
 
 Each pair runs ``perfbench/run.py --workload W --seed S --seconds N
 --trace 0`` once in each checkout, with its own working directory and
 sources.  Pair i uses workload seed ``first-seed + i``, and the side that
 runs first alternates from pair to pair, so that drift of the machine's
-load falls on both sides alike.  The last line of each run is its JSON
-result; every run is printed as it finishes.  At the end, for each
-end-to-end metric of the parent's ``BENCHMARK.json``, the script prints
-each side's median and quartiles, the change of the medians, the number of
-pairs the change won (ties count for neither side) and whether the gain rule
-holds: the change wins at least nine tenths of the pairs and its median
-differs from the parent's by more than the parent's interquartile range.
-Next to it stands the no-regression verdict against the metric's ``bound``,
-a share of the parent's median:
+load falls on both sides alike.  With several workloads, pair i runs each
+of them in turn before pair i + 1 starts, so that every workload sees the
+same stretch of the machine's load.  The last line of each run is its JSON
+result; every run is printed as it finishes.  At the end, for each workload
+and each end-to-end metric of the parent's ``BENCHMARK.json``, the script
+prints each side's median and quartiles, the change of the medians, the
+number of pairs the change won (ties count for neither side) and whether
+the gain rule holds: the change wins at least nine tenths of the pairs and
+its median differs from the parent's by more than the parent's
+interquartile range.  Fewer than 10 pairs draw a warning: on a shared host
+a 4-pair round has read a ``setup_s`` change as ``worse`` that a 10-pair
+round did not reproduce.  Next to the gain rule stands the no-regression
+verdict against the metric's ``bound``, a share of the parent's median:
 
 - ``ok``: the change's median is worse than the parent's by at most the bound;
 - ``worse``: it is worse by more than the bound;
@@ -105,41 +109,64 @@ def summarize(metrics: list[dict], pairs: list[dict]) -> list[str]:
     return lines
 
 
+def run_pairs(checkouts: dict[str, Path], workloads: list[str], pairs: int,
+              seconds: int, first_seed: int) -> tuple[dict[str, list[dict]], bool]:
+    """Run and print the pairs, workloads interleaved within each pair: per
+    workload the list of {side: result}, and whether every run succeeded."""
+    results: dict[str, list[dict]] = {w: [] for w in workloads}
+    ok = True
+    for i in range(pairs):
+        seed = first_seed + i
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for workload in workloads:
+            pair = {}
+            for side in order:
+                result = pair[side] = run_bench(checkouts[side], workload, seed, seconds)
+                good = result["returncode"] == 0 and result.get("correct") is True
+                ok &= good
+                values = " ".join(f"{name}={m['value']:.4g}"
+                                  for name, m in result["metrics"].items())
+                print(f"pair {i + 1} seed {seed} {workload} {side:6s} "
+                      f"{'ok' if good else 'FAILED'} failed={result.get('failed')} {values}"
+                      + ("" if good else f"\n{result.get('stderr', '')}"), flush=True)
+            results[workload].append(pair)
+    return results, ok
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", nargs="+", required=True,
+                        help="one or more workloads of the parent's BENCHMARK.json")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=int, default=50)
     parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be >= 1, got {args.pairs}")
+    if len(set(args.workload)) != len(args.workload):
+        parser.error(f"--workload names a workload twice: {' '.join(args.workload)}")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, path in checkouts.items():
         if not (path / "perfbench" / "run.py").is_file():
             parser.error(f"{side} checkout {path} has no perfbench/run.py")
     spec = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    known = [w["name"] for w in spec["workloads"]]
+    unknown = [w for w in args.workload if w not in known]
+    if unknown:
+        parser.error(f"unknown workload(s) {' '.join(unknown)}; "
+                     f"BENCHMARK.json has {' '.join(known)}")
+    if args.pairs < 10:
+        print(f"warning: {args.pairs} pairs; the no-regression verdicts need at least 10 "
+              f"on a noisy host", file=sys.stderr, flush=True)
 
-    pairs, ok = [], True
-    for i in range(args.pairs):
-        seed = args.first_seed + i
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        pair = {}
-        for side in order:
-            result = pair[side] = run_bench(checkouts[side], args.workload, seed,
-                                            args.seconds)
-            good = result["returncode"] == 0 and result.get("correct") is True
-            ok &= good
-            values = " ".join(f"{name}={m['value']:.4g}"
-                              for name, m in result["metrics"].items())
-            print(f"pair {i + 1} seed {seed} {side:6s} "
-                  f"{'ok' if good else 'FAILED'} failed={result.get('failed')} {values}"
-                  + ("" if good else f"\n{result.get('stderr', '')}"), flush=True)
-        pairs.append(pair)
-
-    print(f"workload {args.workload}, {args.pairs} pairs, --seconds {args.seconds}, "
-          f"seeds {args.first_seed}-{args.first_seed + args.pairs - 1}")
-    print("\n".join(summarize(spec["end_to_end"], pairs)))
+    results, ok = run_pairs(checkouts, args.workload, args.pairs, args.seconds,
+                            args.first_seed)
+    for workload, pairs in results.items():
+        print(f"workload {workload}, {args.pairs} pairs, --seconds {args.seconds}, "
+              f"seeds {args.first_seed}-{args.first_seed + args.pairs - 1}")
+        print("\n".join(summarize(spec["end_to_end"], pairs)))
     return 0 if ok else 1
 
 

@@ -1,6 +1,9 @@
-"""`ab_perfbench.summarize` on synthetic pairs; no benchmark is run."""
+"""`ab_perfbench.summarize` on synthetic pairs, and `main` on stubbed
+benchmark runs; no benchmark is run."""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -51,3 +54,100 @@ def test_a_metric_no_pair_measured():
     spec = {"name": "step_us.lowdim_kalman", "unit": "us", "better": "lower", "bound": 0.25}
     lines = ab_perfbench.summarize([spec], _pairs("run_s", [1.0], [1.0]))
     assert lines[1] == f"{'step_us.lowdim_kalman':24s} not measured"
+
+
+# ---------------------------------------------------------------------------
+# main on stubbed benchmark runs
+
+
+def _checkouts(tmp_path):
+    """Parent and change checkouts with a stub perfbench/run.py each; the
+    parent's BENCHMARK.json declares two workloads and one metric."""
+    paths = []
+    for side in ab_perfbench.SIDES:
+        root = tmp_path / side
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text("", encoding="utf-8")
+        paths.append(str(root))
+    spec = {"workloads": [{"name": "stacks"}, {"name": "replay_audit"}],
+            "end_to_end": [{"name": "run_s", "unit": "s", "better": "lower",
+                            "bound": 0.25}]}
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
+    return paths
+
+
+def _stub_runs(monkeypatch, values, failing=()):
+    """Replace `run_bench`: run_s is values[(workload, side)]; a (workload,
+    side, seed) in ``failing`` exits 1.  Returns the list of calls."""
+    calls = []
+
+    def run_bench(checkout, workload, seed, seconds):
+        side = checkout.name
+        calls.append((side, workload, seed, seconds))
+        bad = (workload, side, seed) in failing
+        return {"returncode": 1 if bad else 0, "correct": not bad, "failed": 0,
+                "metrics": {"run_s": {"value": values[(workload, side)]}}}
+
+    monkeypatch.setattr(ab_perfbench, "run_bench", run_bench)
+    return calls
+
+
+VALUES = {("stacks", "parent"): 1.0, ("stacks", "change"): 1.0,
+          ("replay_audit", "parent"): 2.0, ("replay_audit", "change"): 4.0}
+
+
+def test_workloads_interleave_within_each_pair(monkeypatch, tmp_path, capsys):
+    calls = _stub_runs(monkeypatch, VALUES)
+    argv = [*_checkouts(tmp_path), "--workload", "stacks", "replay_audit",
+            "--pairs", "2", "--seconds", "3", "--first-seed", "7"]
+    assert ab_perfbench.main(argv) == 0
+    assert calls == [("parent", "stacks", 7, 3), ("change", "stacks", 7, 3),
+                     ("parent", "replay_audit", 7, 3), ("change", "replay_audit", 7, 3),
+                     ("change", "stacks", 8, 3), ("parent", "stacks", 8, 3),
+                     ("change", "replay_audit", 8, 3), ("parent", "replay_audit", 8, 3)]
+    out = capsys.readouterr().out.splitlines()
+    heads = [i for i, line in enumerate(out) if line.startswith("workload ")]
+    assert [out[i] for i in heads] == [
+        "workload stacks, 2 pairs, --seconds 3, seeds 7-8",
+        "workload replay_audit, 2 pairs, --seconds 3, seeds 7-8"]
+    # each summary is a header and one row, over its own workload's pairs only
+    stacks_row, replay_row = out[heads[0] + 2], out[heads[1] + 2]
+    assert stacks_row.split()[-1] == "ok" and "+0.0%" in stacks_row
+    assert replay_row.split()[-1] == "worse" and "+100.0%" in replay_row
+
+
+def test_fewer_than_ten_pairs_warn(monkeypatch, tmp_path, capsys):
+    _stub_runs(monkeypatch, VALUES)
+    checkouts = _checkouts(tmp_path)
+    assert ab_perfbench.main([*checkouts, "--workload", "stacks", "--pairs", "4"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: 4 pairs;") and err.count("\n") == 1
+    assert ab_perfbench.main([*checkouts, "--workload", "stacks", "--pairs", "10"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_failed_run_exits_1_after_every_summary(monkeypatch, tmp_path, capsys):
+    calls = _stub_runs(monkeypatch, VALUES, failing={("stacks", "change", 1)})
+    argv = [*_checkouts(tmp_path), "--workload", "stacks", "replay_audit", "--pairs", "10"]
+    assert ab_perfbench.main(argv) == 1
+    assert len(calls) == 40
+    out = capsys.readouterr().out
+    assert "pair 1 seed 1 stacks change FAILED" in out
+    assert out.count("\nworkload ") == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    ([], "the following arguments are required: --workload"),
+    (["--workload"], "expected at least one argument"),
+    (["--workload", "stacks", "stacks"], "names a workload twice: stacks stacks"),
+    (["--workload", "stacks", "all"],
+     "unknown workload(s) all; BENCHMARK.json has stacks replay_audit"),
+    (["--workload", "stacks", "--pairs", "0"], "--pairs must be >= 1, got 0"),
+], ids=["missing", "empty", "twice", "unknown", "no_pairs"])
+def test_bad_arguments_run_nothing(flags, message, monkeypatch, tmp_path, capsys):
+    calls = _stub_runs(monkeypatch, VALUES)
+    with pytest.raises(SystemExit) as exit_:
+        ab_perfbench.main([*_checkouts(tmp_path), *flags])
+    assert exit_.value.code == 2
+    assert message in capsys.readouterr().err
+    assert calls == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
@@ -617,6 +618,34 @@ def test_non_finite_forecast_is_a_recorded_failure(tmp_path):
         assert np.isnan(res.predictions[step:]).all(), name
 
 
+def test_overflowing_window_total_is_a_recorded_failure(tmp_path, capsys):
+    # Finite forecasts of a finite series whose squared errors sum past the
+    # largest float: the total must not be reported as inf, and report.json
+    # must stay strict JSON.
+    sine = gen_sine(1e200, 1.0, 200.0, 300, 0.0, seed=1)
+    path = tmp_path / "huge_sine.csv"
+    save_trajectory(path, Trajectory(sine.sample_period, sine.measurement))
+    config = tmp_path / "run.ini"
+    config.write_text(f"[trajectory]\nsource = file\npath = {path}\n[run]\n"
+                      f"windows = 0:300\nmetric = sq_sum\n{_UAM_LKE_ROW}"
+                      f"[estimator:E2P]\nkind = stack\nstack = E2P\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out-dir", str(out)]) \
+        == EXIT_ESTIMATOR_FAILURE
+    failure = "window 0-300: non-finite error total"
+    assert capsys.readouterr().err == "".join(
+        f"estimator failure (seed 1, {name}): {failure}\n" for name in ("UAM-LKE", "E2P"))
+
+    def refuse(constant):
+        raise ValueError(f"report.json holds {constant}")
+
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"),
+                        parse_constant=refuse)
+    for name, row in report["results"][0]["estimators"].items():
+        assert row["failure"] == failure, name
+        assert row["windows"] == {}, name
+
+
 def _e4ptrw_pairs_oracle(z, horizon, window_len):
     """Reference E4PTRW over deques of (inputs, next) pairs, restacked per refit."""
     recent = deque(maxlen=5)
@@ -861,8 +890,8 @@ def test_audit_snapshots_only_covariances_that_come_back(monkeypatch):
 class _CovarianceTurnsNan(Runner):
     """Persistence forecaster whose n x n covariance is nan from step 51 on."""
 
-    def __init__(self, name, horizon, n):
-        super().__init__(name, horizon)
+    def __init__(self, name, n):
+        super().__init__(name)
         self.n = n
         self.steps = 0
 
@@ -882,7 +911,7 @@ def test_non_finite_covariance_is_a_recorded_failure(n, monkeypatch, tmp_path):
 
     def build(name, kind, params, ctx):
         if name == "STUB":
-            return _CovarianceTurnsNan(name, ctx.horizon, n)
+            return _CovarianceTurnsNan(name, n)
         return real_build(name, kind, params, ctx)
 
     monkeypatch.setattr("nnsse.bench.build_runner", build)
@@ -1115,6 +1144,54 @@ def test_whole_float_steps_and_zero_noise_are_accepted(tmp_path):
     assert cfg.trajectory["steps"] == 400 and isinstance(cfg.trajectory["steps"], int)
     assert cfg.windows == [(0, 400)]
     assert len(cfg.make_trajectory(1)) == 400
+
+
+def test_run_defaults_are_the_experiment_config_defaults(tmp_path):
+    # `load_config` of an empty [run] section passes no run value on, so the
+    # field defaults of `ExperimentConfig` are the file's defaults.
+    from nnsse.config import load_config
+
+    path = tmp_path / "defaults.ini"
+    path.write_text(f"[trajectory]\nsteps = 300\n[run]\n{_UAM_LKE_ROW}", encoding="utf-8")
+    direct = ExperimentConfig(trajectory={"source": "sine", "steps": 300},
+                              estimators=[EstimatorSpec("UAM-LKE", "uam_lke", {})])
+    assert load_config(path) == direct
+    assert (direct.horizon, direct.windows, direct.metric, direct.seeds, direct.warmup) \
+        == (3, [(0, 300)], Metric.ABS_SUM, [1], None)
+
+
+def test_file_trajectory_without_windows_is_a_config_error(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="windows = is required for file trajectories"):
+        ExperimentConfig(trajectory={"source": "file", "path": "x.csv"},
+                         estimators=[EstimatorSpec("UAM-LKE", "uam_lke", {})])
+    text = f"[trajectory]\nsource = file\npath = x.csv\n[run]\nseeds = 1\n{_UAM_LKE_ROW}"
+    assert _config_error(text, tmp_path, capsys) == \
+        "windows = is required for file trajectories"
+
+
+def test_byte_order_mark_is_ignored(tmp_path, monkeypatch):
+    # A UTF-8 byte-order mark before a config or a trajectory CSV (as some
+    # editors and spreadsheet exports write) reads as the same file without it.
+    sine = gen_sine(10.0, 1.0, 200.0, 300, 1.0, seed=3)
+    reports = []
+    for bom in ("", "\ufeff"):
+        work = tmp_path / ("bom" if bom else "plain")
+        work.mkdir()
+        save_trajectory(work / "traj.csv", Trajectory(sine.sample_period, sine.measurement))
+        csv_text = (work / "traj.csv").read_text(encoding="utf-8")
+        (work / "traj.csv").write_text(bom + csv_text, encoding="utf-8")
+        config = work / "run.ini"
+        config.write_text(f"{bom}[trajectory]\nsource = file\npath = traj.csv\n[run]\n"
+                          f"windows = 0:300\n{_UAM_LKE_ROW}", encoding="utf-8")
+        monkeypatch.chdir(work)  # the trajectory path is relative
+        assert main(["run", "--config", "run.ini", "--out-dir", "out"]) == 0
+        report = json.loads((work / "out" / "report.json").read_text(encoding="utf-8"))
+        for entry in report["results"]:
+            for row in entry["estimators"].values():
+                del row["seconds"]
+        reports.append(report)
+    assert (tmp_path / "bom" / "traj.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert reports[0] == reports[1]
 
 
 def test_unknown_estimator_parameter_rejected():

@@ -81,6 +81,14 @@ def test_psd_sqrt_zero_matrix():
     np.testing.assert_array_equal(psd_sqrt(np.zeros((3, 3))), np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 2, 2)],
+                         ids=["vector", "non_square", "stacked"])
+def test_psd_sqrt_refuses_an_array_that_is_not_one_square_matrix(shape):
+    with pytest.raises(ValueError) as err:
+        psd_sqrt(np.zeros(shape))
+    assert str(err.value) == f"expected a square matrix, got shape {shape}"
+
+
 def test_psd_sqrt_semidefinite_raises():
     # No jitter rescues a singular matrix that is not exactly zero.
     with pytest.raises(CovarianceDegeneracyError, match=r"2x2 .* smallest eigenvalue 0\.0"):

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -91,6 +96,25 @@ def test_simulate_bad_parameter_is_a_config_error(flag, value, tmp_path, capsys)
     assert main(["simulate", flag, value, "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out, message", [
+    ("simdir", "--out simdir is a directory"),
+    ("afile/x.csv", "--out afile/x.csv: afile is not a directory"),
+], ids=["out_is_a_directory", "parent_is_a_file"])
+def test_simulate_out_that_cannot_be_written_is_a_config_error(out, message, tmp_path):
+    (tmp_path / "simdir").mkdir()
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-m", "nnsse", "simulate", "--steps", "10",
+                           "--out", out], cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_CONFIG
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"config error: {message}\n"
+    assert proc.stdout == ""
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["afile", "simdir"]
+    assert (tmp_path / "afile").read_text(encoding="utf-8") == ""
 
 
 def test_trajectory_validation():
