@@ -24,9 +24,10 @@ handed back right after it was folded in (the frozen covariance of a
 steady-state linear filter) is skipped while its bytes stay the same.
 
 The covariance schedule of a linear filter (`SteadyStateLke`) reads no data,
-so the seeds of one `run_experiment` call share it: one schedule dict for the
-serial seed loop, one per pool worker.  Pools live for one call, and no
-schedule outlives the call, so every run recomputes its own.
+so the seeds of one `run_experiment` call share it through one module-level
+store, `_schedules`.  The call empties it before its seeds start and again
+when it ends, so forked pool workers inherit it empty, each worker fills its
+own copy, and no schedule outlives the call: every run recomputes its own.
 """
 
 from __future__ import annotations
@@ -165,11 +166,7 @@ class SeedRun:
 
     def aligned_predictions(self, name: str) -> np.ndarray:
         """Forecasts re-indexed to their target step (NaN where undefined)."""
-        pred = self.results[name].predictions
-        out = np.full(len(self.trajectory), np.nan)
-        a = self.horizon
-        out[a:] = pred[:len(pred) - a]
-        return out
+        return _at_targets(self.results[name].predictions, self.horizon)
 
     def csv_columns(self) -> dict[str, np.ndarray]:
         cols: dict[str, np.ndarray] = {}
@@ -182,13 +179,23 @@ class SeedRun:
 @dataclass
 class RunReport:
     config: ExperimentConfig
-    warmup: int
     seed_runs: list[SeedRun]
+
+    @property
+    def warmup(self) -> int:
+        """Every seed resolves the same warmup from the same config and roster."""
+        return self.seed_runs[0].warmup
 
     @property
     def failures(self) -> list[tuple[int, str, str]]:
         return [(run.seed, name, res.failure) for run in self.seed_runs
                 for name, res in run.results.items() if res.failure]
+
+
+def _at_targets(predictions: np.ndarray, a: int) -> np.ndarray:
+    """Forecasts emitted at step i (of step i + a) moved to their target
+    step; NaN on the first a steps."""
+    return np.concatenate([np.full(a, np.nan), predictions[:len(predictions) - a]])
 
 
 def resolve_warmup(config: ExperimentConfig, runners: list[Runner]) -> int:
@@ -353,25 +360,20 @@ def run_single_seed(config: ExperimentConfig, seed: int, audit: bool = False,
         failure = None
         health = CovarianceAudit()
         t0 = time.perf_counter()
-        for i in range(n):
-            try:
+        try:
+            for i in range(n):
                 forecast = runner.step(z[i])
-            except EstimatorError as exc:
-                failure = f"step {i}: {exc}"
-                break
-            if not math.isfinite(forecast):
-                failure = f"step {i}: non-finite forecast"
-                break
-            if audit:
-                cov = runner.covariance()
-                if cov is not None and not health.update(cov):
-                    failure = f"step {i}: non-finite covariance"
-                    break
-            preds[i] = forecast
+                if not math.isfinite(forecast):
+                    raise EstimatorError("non-finite forecast")
+                if audit and (cov := runner.covariance()) is not None and not health.update(cov):
+                    raise EstimatorError("non-finite covariance")
+                preds[i] = forecast
+        except EstimatorError as exc:  # the one way a run stops early
+            failure = f"step {i}: {exc}"
         seconds = time.perf_counter() - t0
         preds = np.array(preds, dtype=float)
 
-        aligned = np.concatenate([np.full(a, np.nan), preds[:n - a]])  # at target steps
+        aligned = _at_targets(preds, a)
         errors = np.full(n, np.nan)
         errors[first_target:] = aligned[first_target:] - ref[first_target:]
         window_errors: dict[str, float] = {}
@@ -397,17 +399,13 @@ def run_single_seed(config: ExperimentConfig, seed: int, audit: bool = False,
     return SeedRun(seed, traj, [r.name for r in runners], a, warmup, results)
 
 
-# The schedules shared by the seeds one pool worker runs.  Tasks reach them
-# only through module state; `run_experiment` clears it around each pool.
-_worker_schedules: dict | None = None
+# The schedules shared by the seeds of one `run_experiment` call (see the
+# module doc).  Pool tasks reach them only through module state.
+_schedules: dict = {}
 
 
 def _seed_worker(args):
-    global _worker_schedules
-    config, seed, audit = args
-    if _worker_schedules is None:
-        _worker_schedules = {}
-    return run_single_seed(config, seed, audit, _worker_schedules)
+    return run_single_seed(*args, _schedules)
 
 
 def __getattr__(name):
@@ -422,20 +420,18 @@ def __getattr__(name):
 def run_experiment(config: ExperimentConfig, audit: bool = False,
                    parallel: int = 1) -> RunReport:
     """Run every (seed, estimator) pair, seeds on up to `parallel` processes."""
-    global _worker_schedules
     if parallel < 1:
         raise ConfigError(f"parallel must be >= 1, got {parallel}")
     workers = min(parallel, len(config.seeds))
-    if workers > 1:
-        from .bench import ProcessPoolExecutor  # through __getattr__ or a patch
-        _worker_schedules = None  # forked workers start without schedules
-        try:
+    jobs = [(config, s, audit) for s in config.seeds]
+    _schedules.clear()  # forked workers inherit it empty
+    try:
+        if workers > 1:
+            from .bench import ProcessPoolExecutor  # through __getattr__ or a patch
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                seed_runs = list(pool.map(_seed_worker,
-                                          [(config, s, audit) for s in config.seeds]))
-        finally:
-            _worker_schedules = None  # set if the pool ran here
-    else:
-        schedules: dict = {}
-        seed_runs = [run_single_seed(config, s, audit, schedules) for s in config.seeds]
-    return RunReport(config, seed_runs[0].warmup, seed_runs)
+                seed_runs = list(pool.map(_seed_worker, jobs))
+        else:
+            seed_runs = [run_single_seed(*job, _schedules) for job in jobs]
+    finally:
+        _schedules.clear()
+    return RunReport(config, seed_runs)

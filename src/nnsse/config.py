@@ -22,12 +22,12 @@ Grammar (``configs/table1.ini`` is a complete example)::
     kind = nnsse_uke         # a kind of runners.ESTIMATOR_KINDS
     <parameter> = <value>
 
-Any ``[run]`` key may be left out: the ``[run]`` defaults live only in the
-field defaults of `bench.ExperimentConfig`.  Unknown keys in ``[trajectory]``
-(the sine keys included, under ``source = file``) and ``[run]`` are rejected
-here.  `runners.ESTIMATOR_KINDS` is the one table of estimator kinds, the
-keys each accepts and their defaults.  Unknown estimator parameters are
-rejected at build time, not here.
+Any ``[run]`` key, or the whole section, may be left out: the ``[run]``
+defaults live only in the field defaults of `bench.ExperimentConfig`.
+Unknown keys in ``[trajectory]`` (the sine keys included, under ``source =
+file``) and ``[run]`` are rejected here.  `runners.ESTIMATOR_KINDS` is the
+one table of estimator kinds, the keys each accepts and their defaults.
+Unknown estimator parameters are rejected at build time, not here.
 """
 
 from __future__ import annotations
@@ -118,12 +118,10 @@ def load_config(path) -> ExperimentConfig:
 
     if "trajectory" not in parser:
         raise ConfigError("missing [trajectory] section")
-    if "run" not in parser:
-        raise ConfigError("missing [run] section")
     try:
         trajectory = _trajectory_section(parser["trajectory"])
 
-        run = parser["run"]
+        run = parser["run"] if "run" in parser else {}
         _reject_unknown_keys("run", run, _RUN_KEYS)
         run_values = {key: parse(run[key]) for key, parse in _RUN_KEYS.items() if key in run}
 

@@ -152,11 +152,12 @@ def load_trajectory(path) -> Trajectory:
 
     Raises `TrajectoryFormatError` (with a line number where applicable) on a
     file that cannot be read or is not UTF-8, a missing required column, a
-    non-numeric or non-finite cell, an inconsistent row length, a file with
-    no data rows, a time that does not exceed the one before it, a time step
-    that differs from the first by more than 1e-6 relative, or an empty truth
-    cell in a truth column that has values on other rows.  The sample period
-    is the first time step, t[1] - t[0] (1.0 for a single row).
+    schema column named twice, a non-numeric or non-finite cell (the unused
+    step cells included), an inconsistent row length, a file with no data
+    rows, a time that does not exceed the one before it, a time step that
+    differs from the first by more than 1e-6 relative, or an empty truth cell
+    in a truth column that has values on other rows.  The sample period is
+    the first time step, t[1] - t[0] (1.0 for a single row).
     """
     reader = csv.reader(io.StringIO(read_utf8(path, TrajectoryFormatError)))
     try:
@@ -167,6 +168,9 @@ def load_trajectory(path) -> Trajectory:
     for col in REQUIRED_COLUMNS:
         if col not in header:
             raise TrajectoryFormatError(f"missing column {col!r} in header")
+    for col in ("step", "t", "truth", "measurement"):
+        if header.count(col) > 1:
+            raise TrajectoryFormatError(f"line 1: column {col!r} appears more than once")
     idx = {name: header.index(name) for name in header}
     has_truth = "truth" in idx
 
@@ -181,6 +185,7 @@ def load_trajectory(path) -> Trajectory:
         if len(row) != len(header):
             raise TrajectoryFormatError(
                 f"line {line_no}: expected {len(header)} cells, got {len(row)}")
+        _parse_cell(row[idx["step"]], "step", line_no)
         t = _parse_cell(row[idx["t"]], "t", line_no)
         if times and not t > times[-1]:
             raise TrajectoryFormatError(

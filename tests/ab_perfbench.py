@@ -34,7 +34,9 @@ work directory.  Both checkouts must be in the same ``__pycache__`` state,
 best with none in either (a fresh ``git archive`` or ``git clone``): with
 bytecode writing off, a stale cache in one checkout makes every fresh
 interpreter there recompile ``nnsse``, which once moved ``setup_s`` by
-about 15%.
+about 15%.  So before the first run the script compares the ``*.pyc`` files
+under each checkout's ``src/`` and ``perfbench/`` by relative path, and
+refuses to start if they differ.
 """
 
 from __future__ import annotations
@@ -65,6 +67,12 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
         result = {"correct": False, "metrics": {}, "stderr": proc.stderr[-2000:]}
     result["returncode"] = proc.returncode
     return result
+
+
+def bytecode_paths(checkout: Path) -> set[str]:
+    """Relative paths of the ``*.pyc`` files under ``src/`` and ``perfbench/``."""
+    return {path.relative_to(checkout).as_posix() for tree in ("src", "perfbench")
+            for path in (checkout / tree).rglob("*.pyc")}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -151,6 +159,10 @@ def main(argv=None) -> int:
     for side, path in checkouts.items():
         if not (path / "perfbench" / "run.py").is_file():
             parser.error(f"{side} checkout {path} has no perfbench/run.py")
+    differing = sorted(bytecode_paths(checkouts["parent"]) ^ bytecode_paths(checkouts["change"]))
+    if differing:
+        parser.error(f"the checkouts differ in __pycache__ state, e.g. {differing[0]}; "
+                     f"remove __pycache__ from both")
     spec = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     known = [w["name"] for w in spec["workloads"]]
     unknown = [w for w in args.workload if w not in known]

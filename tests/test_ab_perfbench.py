@@ -151,3 +151,35 @@ def test_bad_arguments_run_nothing(flags, message, monkeypatch, tmp_path, capsys
     assert exit_.value.code == 2
     assert message in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("cached", [
+    ["change/src/nnsse/__pycache__/bench.cpython-311.pyc"],
+    ["parent/perfbench/__pycache__/run.cpython-311.pyc"],
+    ["parent/src/nnsse/__pycache__/bench.cpython-311.pyc",
+     "change/src/nnsse/__pycache__/bench.cpython-312.pyc"],
+], ids=["change_only", "parent_only", "other_interpreter"])
+def test_checkouts_in_different_pycache_states_run_nothing(cached, monkeypatch, tmp_path,
+                                                           capsys):
+    calls = _stub_runs(monkeypatch, VALUES)
+    checkouts = _checkouts(tmp_path)
+    for rel in cached:
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_bytes(b"")
+    with pytest.raises(SystemExit) as exit_:
+        ab_perfbench.main([*checkouts, "--workload", "stacks"])
+    assert exit_.value.code == 2
+    first = sorted(rel.split("/", 1)[1] for rel in cached)[0]
+    assert f"differ in __pycache__ state, e.g. {first};" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_checkouts_in_the_same_pycache_state_run(monkeypatch, tmp_path):
+    calls = _stub_runs(monkeypatch, VALUES)
+    checkouts = _checkouts(tmp_path)
+    for side in ab_perfbench.SIDES:
+        cache = tmp_path / side / "src" / "nnsse" / "__pycache__"
+        cache.mkdir(parents=True)
+        (cache / "bench.cpython-311.pyc").write_bytes(side.encode())
+    assert ab_perfbench.main([*checkouts, "--workload", "stacks", "--pairs", "10"]) == 0
+    assert len(calls) == 20

@@ -30,7 +30,7 @@ from nnsse.bench import (
     run_single_seed,
 )
 from nnsse.cli import EXIT_CONFIG, EXIT_ESTIMATOR_FAILURE, main
-from nnsse.estimators import SteadyStateLke, lke_step
+from nnsse.estimators import EstimatorError, SteadyStateLke, lke_step
 from nnsse.model import Topology
 from nnsse.runners import ConfigError, RunContext, Runner, build_runner
 from nnsse.signals import Trajectory, gen_sine, save_trajectory
@@ -404,6 +404,39 @@ def test_every_entry_handed_to_a_second_seed_is_read_only(monkeypatch):
     monkeypatch.setattr(nnsse.bench, "run_single_seed", seed_run)
     run_experiment(sine_config(LINEAR_ROSTER, steps=600, windows=((0, 600),), seeds=(1, 2)))
     assert len(handed) == len(LINEAR_ROSTER) * 599 and not any(handed)
+
+
+@pytest.mark.parametrize("pool", [None, InProcessPool], ids=["serial", "in-process-pool"])
+def test_schedule_store_is_empty_after_every_run(pool, monkeypatch):
+    import nnsse.bench
+
+    plain_seed = nnsse.bench.run_single_seed
+    filled = []
+
+    def seed_run(config, s, audit, schedules):
+        assert schedules is nnsse.bench._schedules
+        if s == 1:
+            assert schedules == {}  # emptied before the first seed
+        run = plain_seed(config, s, audit, schedules)
+        filled.append(len(schedules))
+        if s == fail_at:
+            raise RuntimeError(f"seed {s} failed")
+        return run
+
+    monkeypatch.setattr(nnsse.bench, "run_single_seed", seed_run)
+    if pool is not None:
+        monkeypatch.setattr(nnsse.bench, "ProcessPoolExecutor", pool)
+    parallel = 1 if pool is None else 2
+    cfg = sine_config(LINEAR_ROSTER[:2], steps=200, windows=((0, 200),), seeds=(1, 2))
+    for fail_at in (None, 2):
+        nnsse.bench._schedules["stale"] = object()
+        filled.clear()
+        if fail_at is None:
+            assert len(run_experiment(cfg, parallel=parallel).seed_runs) == 2
+        else:
+            with pytest.raises(RuntimeError, match="seed 2 failed"):
+                run_experiment(cfg, parallel=parallel)
+        assert filled == [2, 2] and nnsse.bench._schedules == {}
 
 
 def test_import_leaves_the_process_pool_unloaded():
@@ -938,6 +971,44 @@ def test_non_finite_covariance_is_a_recorded_failure(n, monkeypatch, tmp_path):
     assert (tmp_path / "out" / "report.json").is_file()
 
 
+class _FailsAtStep(Runner):
+    """Persistence forecaster with a 2 x 2 covariance that fails at step
+    ``k``: ``step`` raises, or its forecast or covariance is not finite."""
+
+    def __init__(self, name, k, how):
+        super().__init__(name)
+        self.k, self.how, self.i = k, how, -1
+
+    def step(self, z):
+        self.i += 1
+        if self.i == self.k and self.how == "raises":
+            raise EstimatorError("stub diverged")
+        return math.inf if self.i == self.k and self.how == "forecast" else float(z)
+
+    def covariance(self):
+        bad = self.i == self.k and self.how == "covariance"
+        return np.full((2, 2), np.nan) if bad else np.eye(2)
+
+
+@pytest.mark.parametrize("how, audit, message", [
+    ("raises", False, "stub diverged"),
+    ("forecast", False, "non-finite forecast"),
+    ("covariance", True, "non-finite covariance"),
+])
+@pytest.mark.parametrize("k", [0, 40, 299])
+def test_every_in_loop_failure_stops_the_run_at_its_step(how, audit, message, k, monkeypatch):
+    monkeypatch.setattr("nnsse.bench.build_runner",
+                        lambda name, kind, params, ctx: _FailsAtStep(name, k, how))
+    cfg = sine_config([EstimatorSpec("STUB", "uam_lke", {})], steps=300,
+                      windows=((0, 300),))
+    run = run_single_seed(cfg, 1, audit=audit)
+    stub = run.results["STUB"]
+    assert stub.failure == f"step {k}: {message}"
+    assert stub.predictions.tolist()[:k] == run.trajectory.measurement.tolist()[:k]
+    assert np.isnan(stub.predictions[k:]).all()
+    assert stub.window_errors == {}
+
+
 def _audit_oracle(config, seed):
     """Name -> (min_eigenvalue, max_asymmetry), `eigvalsh` on every step."""
     traj = config.make_trajectory(seed)
@@ -1158,6 +1229,17 @@ def test_run_defaults_are_the_experiment_config_defaults(tmp_path):
     assert load_config(path) == direct
     assert (direct.horizon, direct.windows, direct.metric, direct.seeds, direct.warmup) \
         == (3, [(0, 300)], Metric.ABS_SUM, [1], None)
+
+
+def test_config_without_a_run_section_takes_the_run_defaults(tmp_path):
+    from nnsse.config import load_config
+
+    paths = []
+    for run in ("", "[run]\n"):
+        paths.append(tmp_path / f"{len(paths)}.ini")
+        paths[-1].write_text(f"[trajectory]\nsteps = 300\n{run}{_UAM_LKE_ROW}",
+                             encoding="utf-8")
+    assert load_config(paths[0]) == load_config(paths[1])
 
 
 def test_file_trajectory_without_windows_is_a_config_error(tmp_path, capsys):

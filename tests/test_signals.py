@@ -209,6 +209,25 @@ def test_load_non_finite_cell_reports_line_and_column(tmp_path):
             load_trajectory(path)
 
 
+@pytest.mark.parametrize("cell", ["abc", "xyz", "", "inf"])
+def test_load_refuses_a_step_cell_that_is_not_a_finite_number(tmp_path, cell):
+    path = tmp_path / "bad_step.csv"
+    path.write_text(f"step,t,truth,measurement\n0,0,1,1.5\n{cell},0.01,2,2.5\n",
+                    encoding="utf-8")
+    with pytest.raises(TrajectoryFormatError, match=f"line 3: .* {cell!r} in column 'step'"):
+        load_trajectory(path)
+
+
+@pytest.mark.parametrize("column", ["step", "t", "truth", "measurement"])
+def test_load_refuses_a_schema_column_named_twice(tmp_path, column):
+    path = tmp_path / "twice.csv"
+    path.write_text(f"step,t,truth,measurement,{column}\n0,0,1,1.5,2\n1,0.01,2,2.5,3\n",
+                    encoding="utf-8")
+    with pytest.raises(TrajectoryFormatError,
+                       match=f"^line 1: column {column!r} appears more than once$"):
+        load_trajectory(path)
+
+
 def test_load_inconsistent_row_length_reports_line(tmp_path):
     path = tmp_path / "bad3.csv"
     path.write_text("step,t,truth,measurement\n0,0,1,1.5\n1,0.01,2\n",
