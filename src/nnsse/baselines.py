@@ -45,7 +45,8 @@ E4PTRW_MIN_PAIRS = 5
 @dataclass
 class StackModel:
     """Linear predictor over a window of past positions (newest first); F is
-    the companion matrix of the first-row coefficients it is built from."""
+    the companion matrix of the first-row coefficients it is built from, and
+    `forecaster` the one place its companion iteration is written."""
 
     coeffs: InitVar[np.ndarray]
     F: np.ndarray = field(init=False)
@@ -58,6 +59,18 @@ class StackModel:
     @property
     def k(self) -> int:
         return self.F.shape[0]
+
+    def forecaster(self, n: int):
+        """x[0] after n products F @ x (n = 0 reads x[0]), bound to n.  It
+        holds F itself, not a copy, so a refit of F[0] in place applies."""
+        F = self.F
+
+        def forecast(x):
+            for _ in range(n):
+                x = F @ x
+            return float(x[0])
+
+        return forecast
 
 
 def stack_transition(kind: StackKind) -> StackModel:
@@ -76,9 +89,9 @@ def e4ptrw_refit(inputs, targets) -> np.ndarray:
     ``targets[i]``.  Minimum-norm solution of ``targets ~ inputs @ coeffs``
     with no intercept, over the rows whose inputs and target are all finite.
     When every row is finite the block goes to `np.linalg.lstsq` as given, so
-    the result depends on its row order (`E4ptrwRunner` keeps it oldest
-    first).  With fewer than `E4PTRW_MIN_PAIRS` usable rows the published
-    offline coefficients are returned unchanged.
+    the result depends on its row order (the E4PTRW step of `runners` keeps
+    it oldest first).  With fewer than `E4PTRW_MIN_PAIRS` usable rows the
+    published offline coefficients are returned unchanged.
     """
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -152,10 +165,10 @@ class SineModel:
 def multi_step_predict(model, state, n: int) -> float:
     """Observed coordinate after n transitions of a stack or kinematic model.
 
-    Stack models iterate their companion matrix.  A kinematic model sums the
-    Taylor terms x_j h^j / j!, h = n T, over its state (position, velocity,
-    acceleration, jerk) in the order j = 0, 1, ...; h^j and j! are computed
-    once per model and n.
+    Stack models iterate their companion matrix (`StackModel.forecaster`).  A
+    kinematic model sums the Taylor terms x_j h^j / j!, h = n T, over its
+    state (position, velocity, acceleration, jerk) in the order j = 0, 1, ...;
+    h^j and j! are computed once per model and n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -170,8 +183,5 @@ def multi_step_predict(model, state, n: int) -> float:
             total += x * power / factorial
         return total
     if isinstance(model, StackModel):
-        x = np.asarray(state, dtype=float)
-        for _ in range(n):
-            x = model.F @ x
-        return float(x[0])
+        return model.forecaster(n)(np.asarray(state, dtype=float))
     raise TypeError(f"unsupported model type {type(model)!r}")

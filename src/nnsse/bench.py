@@ -8,7 +8,9 @@ input window in the roster, at least the horizon) are excluded from error
 accumulation.  Estimator failures are isolated: the rest of the roster keeps
 running and the failure is recorded in the report.  A non-finite forecast
 counts as such a failure: it ends that estimator's run like an
-`EstimatorError` does, and so does a window total that overflows.
+`EstimatorError` does, and so does a window total that overflows.  Since
+these are recorded, the loop runs with NumPy's overflow and invalid-value
+warnings off.
 
 With ``audit``, every Gaussian estimator's covariance P is checked after each
 step (`CovarianceAudit`).  The run records the largest |P - Pᵀ| entry and the
@@ -355,47 +357,50 @@ def run_single_seed(config: ExperimentConfig, seed: int, audit: bool = False,
     ref = traj.reference
     z = traj.measurement.tolist()  # runners step on Python floats
     results: dict[str, EstimatorResult] = {}
-    for runner in runners:
-        preds = [math.nan] * n
-        failure = None
-        health = CovarianceAudit()
-        t0 = time.perf_counter()
-        try:
-            for i in range(n):
-                forecast = runner.step(z[i])
-                if not math.isfinite(forecast):
-                    raise EstimatorError("non-finite forecast")
-                if audit and (cov := runner.covariance()) is not None and not health.update(cov):
-                    raise EstimatorError("non-finite covariance")
-                preds[i] = forecast
-        except EstimatorError as exc:  # the one way a run stops early
-            failure = f"step {i}: {exc}"
-        seconds = time.perf_counter() - t0
-        preds = np.array(preds, dtype=float)
+    # A step or window total that overflows or turns invalid is recorded as
+    # a failure below, so NumPy need not warn of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for runner in runners:
+            preds = [math.nan] * n
+            failure = None
+            health = CovarianceAudit()
+            t0 = time.perf_counter()
+            try:
+                for i in range(n):
+                    forecast = runner.step(z[i])
+                    if not math.isfinite(forecast):
+                        raise EstimatorError("non-finite forecast")
+                    if (audit and (cov := getattr(runner.state, "cov", None)) is not None
+                            and not health.update(cov)):
+                        raise EstimatorError("non-finite covariance")
+                    preds[i] = forecast
+            except EstimatorError as exc:  # the one way a run stops early
+                failure = f"step {i}: {exc}"
+            seconds = time.perf_counter() - t0
+            preds = np.array(preds, dtype=float)
 
-        aligned = _at_targets(preds, a)
-        errors = np.full(n, np.nan)
-        errors[first_target:] = aligned[first_target:] - ref[first_target:]
-        window_errors: dict[str, float] = {}
-        if failure is None:
-            for label, span in spans.items():
-                with np.errstate(over="ignore"):  # an overflow fails the estimator below
+            aligned = _at_targets(preds, a)
+            errors = np.full(n, np.nan)
+            errors[first_target:] = aligned[first_target:] - ref[first_target:]
+            window_errors: dict[str, float] = {}
+            if failure is None:
+                for label, span in spans.items():
                     total = accumulated_error(aligned, ref, span, config.metric)
-                if not math.isfinite(total):
-                    failure = f"window {label}: non-finite error total"
-                    window_errors = {}
-                    break
-                window_errors[label] = total
-        results[runner.name] = EstimatorResult(
-            predictions=preds,
-            errors=errors,
-            window_errors=window_errors,
-            seconds=seconds,
-            failure=failure,
-            min_eigenvalue=(health.min_eigenvalue
-                            if audit and math.isfinite(health.min_eigenvalue) else None),
-            max_asymmetry=(health.max_asymmetry if audit else None),
-        )
+                    if not math.isfinite(total):
+                        failure = f"window {label}: non-finite error total"
+                        window_errors = {}
+                        break
+                    window_errors[label] = total
+            results[runner.name] = EstimatorResult(
+                predictions=preds,
+                errors=errors,
+                window_errors=window_errors,
+                seconds=seconds,
+                failure=failure,
+                min_eigenvalue=(health.min_eigenvalue
+                                if audit and math.isfinite(health.min_eigenvalue) else None),
+                max_asymmetry=(health.max_asymmetry if audit else None),
+            )
     return SeedRun(seed, traj, [r.name for r in runners], a, warmup, results)
 
 

@@ -1,13 +1,13 @@
 """Per-estimator stepping loops used by the benchmark harness.
 
 A runner consumes one measurement per step and emits the horizon-step
-position forecast.  Every Kalman and particle kind runs in one
-`FilterRunner` over the (state, innovation) step contract of `estimators`;
-the stack predictors run open loop on the raw measurements.  Construction
-is driven by plain parameter dictionaries (see `build_runner` and its key
-table `ESTIMATOR_KINDS`) so the CLI config maps onto it directly.  Every
-random choice derives from (run seed, estimator name), making runs
-reproducible.
+position forecast.  Every kind runs in one `FilterRunner` over the (state,
+innovation) step contract of `estimators`: the Kalman and particle kinds on a
+belief or a particle cloud, the open-loop stack predictors on a window of the
+raw measurements (`StackWindow`).  Construction is driven by plain parameter
+dictionaries (see `build_runner` and its key table `ESTIMATOR_KINDS`) so the
+CLI config maps onto it directly.  Every random choice derives from (run
+seed, estimator name), making runs reproducible.
 """
 
 from __future__ import annotations
@@ -65,25 +65,24 @@ class Runner:
     def step(self, z: float) -> float:
         raise NotImplementedError
 
-    def covariance(self) -> np.ndarray | None:
-        return None
-
 
 class FilterRunner(Runner):
-    """Any Bayesian filter: a `GaussianBelief` state for the Kalman kinds, a
-    `ParticleSet` for the particle kind.
+    """The runner of every kind: a `GaussianBelief` state for the Kalman
+    kinds, a `ParticleSet` for the particle kind and a `StackWindow` for the
+    open-loop stacks.
 
     ``init_fn(z)`` makes the state at the first measurement, ``step_fn(state,
     z)`` returns (next state, innovation z - predicted observation) and
     ``forecast_fn(state)`` the horizon-step forecast; the builders bind model,
-    noise, horizon and random stream into them.  The linear kinds step through
-    a `SteadyStateLke`: `lke_step` on the first runner of a run to reach each
-    step of its data-free covariance schedule, shared through
+    noise, horizon, random stream and buffers into them.  The linear kinds
+    step through a `SteadyStateLke`: `lke_step` on the first runner of a run
+    to reach each step of its data-free covariance schedule, shared through
     ``RunContext.lke_schedules``, and a mean update with that step's gain on
     every other runner and past the fixed point.  A Kalman forecast is the
     plug-in forecast at the posterior mean, not the unscented expectation of
     the forecast map; the particle forecast is the weighted average of the
-    per-particle forecasts.
+    per-particle forecasts, and an open-loop stack iterates its carried
+    one-step prediction.
     """
 
     def __init__(self, name, init_fn, step_fn, forecast_fn, warmup_hint):
@@ -91,7 +90,7 @@ class FilterRunner(Runner):
         self.init_fn = init_fn
         self.step_fn = step_fn
         self.forecast_fn = forecast_fn
-        self.state: GaussianBelief | ParticleSet | None = None
+        self.state: GaussianBelief | ParticleSet | StackWindow | None = None
 
     def step(self, z: float) -> float:
         if self.state is None:
@@ -100,68 +99,65 @@ class FilterRunner(Runner):
             self.state, _ = self.step_fn(self.state, z)
         return float(self.forecast_fn(self.state))
 
-    def covariance(self):
-        """The state's covariance; None before the first step and for a particle set."""
-        return getattr(self.state, "cov", None)
+
+@dataclass(slots=True)
+class StackWindow:
+    """Open-loop stack state, which each step updates in place and returns:
+    the last k measurements, newest first; how many measurements have
+    arrived; and the window's one-step prediction F @ window once k have
+    (None before)."""
+
+    window: np.ndarray
+    seen: int = 0
+    prediction: np.ndarray | None = None
 
 
-class OpenLoopStackRunner(Runner):
-    """Deterministic stack predictor applied directly to raw measurements.
+def _stack_step(stack: StackModel, state: StackWindow, z: float):
+    """z enters the window.  The innovation is z minus the carried one-step
+    prediction, or minus the last measurement until k have arrived."""
+    window, prediction = state.window, state.prediction
+    innovation = z - (window[0] if prediction is None else prediction[0])
+    window[1:] = window[:-1]
+    window[0] = z
+    state.seen += 1
+    state.prediction = stack.F @ window if state.seen >= len(window) else None
+    return state, innovation
 
-    ``window`` holds the last k measurements, newest first; until k have
-    arrived the forecast is the last measurement (persistence).  Each
-    measurement goes to `_refit` before it enters the window.
+
+def _e4ptrw_step(stack: StackModel, inputs: np.ndarray, targets: np.ndarray,
+                 state: StackWindow, z: float):
+    """`_stack_step` on the E4PTRW stack, whose first row is re-regressed from
+    a sliding window of measurements before z enters its window.
+
+    Every measurement from the fifth on adds one regression row: the window
+    of four it followed as inputs and itself as target.  ``inputs`` (W, 4)
+    and ``targets`` (W,) keep the last W rows, oldest first, and shift up by
+    one row per step.  Once W rows have accumulated, every step refits
+    ``stack.F[0]`` in place with `e4ptrw_refit`; before that the published
+    offline coefficients apply.  The innovation reads the prediction made
+    with the coefficients in force before z arrived.
     """
-
-    def __init__(self, name, horizon, stack: StackModel):
-        super().__init__(name, stack.k)
-        self.horizon = int(horizon)
-        self.stack = stack
-        self.window = np.zeros(stack.k)
-        self.seen = 0
-
-    def _refit(self, z: float) -> None:
-        """Hook for a stack that learns from the data; a fixed stack does not."""
-
-    def step(self, z: float) -> float:
-        z = float(z)
-        self._refit(z)
-        self.window[1:] = self.window[:-1]
-        self.window[0] = z
-        self.seen += 1
-        if self.seen < self.stack.k:
-            return z
-        return multi_step_predict(self.stack, self.window, self.horizon)
+    seen = state.seen
+    if seen >= 4:
+        inputs[:-1] = inputs[1:]
+        inputs[-1] = state.window
+        targets[:-1] = targets[1:]
+        targets[-1] = z
+        if seen - 3 >= len(targets):
+            stack.F[0] = e4ptrw_refit(inputs, targets)
+    return _stack_step(stack, state, z)
 
 
-class E4ptrwRunner(OpenLoopStackRunner):
-    """Open-loop E4PTRW stack whose first row is re-regressed from a sliding
-    window of measurements.
-
-    Every measurement from the fifth on adds one regression row: the
-    ``window`` of four it followed as inputs and itself as target.
-    ``inputs`` (W, 4) and ``targets`` (W,) keep the last W rows, oldest
-    first, and shift up by one row per step.  Once W rows have accumulated,
-    every step refits ``stack.F[0]`` in place with `e4ptrw_refit`; before
-    that the published offline coefficients apply.
-    """
-
-    def __init__(self, name, horizon, window_len=E4PTRW_WINDOW):
-        super().__init__(name, horizon, stack_transition(StackKind.E4PTRW))
-        self.warmup_hint = 5  # the first regression row comes with the fifth measurement
-        self.window_len = int(window_len)
-        self.inputs = np.zeros((self.window_len, 4))
-        self.targets = np.zeros(self.window_len)
-
-    def _refit(self, z: float) -> None:
-        if self.seen < 4:
-            return
-        self.inputs[:-1] = self.inputs[1:]
-        self.inputs[-1] = self.window
-        self.targets[:-1] = self.targets[1:]
-        self.targets[-1] = z
-        if self.seen - 3 >= self.window_len:
-            self.stack.F[0] = e4ptrw_refit(self.inputs, self.targets)
+def _open_loop_runner(name, stack: StackModel, step_fn, horizon: int,
+                      warmup_hint: int) -> Runner:
+    """A stack applied to the raw measurements: the forecast is the last
+    measurement until k have arrived, then the carried one-step prediction
+    taken ``horizon`` - 1 steps further."""
+    ahead = stack.forecaster(horizon - 1)
+    return FilterRunner(
+        name, lambda z: step_fn(StackWindow(np.zeros(stack.k)), z)[0], step_fn,
+        lambda state: state.window[0] if state.prediction is None else ahead(state.prediction),
+        warmup_hint)
 
 
 # ---------------------------------------------------------------------------
@@ -308,22 +304,26 @@ def _stack_runner(name, kind, p, ctx: RunContext) -> Runner:
         raise ConfigError("use kind=e4ptrw for the online-regressed stack")
     mode = p["mode"].strip().lower()
     stack = stack_transition(skind)
+    k = stack.k
     if mode == "open":
-        return OpenLoopStackRunner(name, a, stack)
+        return _open_loop_runner(name, stack, partial(_stack_step, stack), a, k)
     if mode != "lke":
         raise ConfigError(f"unknown stack mode {mode!r}")
-    k = stack.k
     noise = NoiseSpec(p["q"] * np.eye(k), p["r"], p["p0"] * np.eye(k))
+    forecast = stack.forecaster(a)
     return FilterRunner(name, lambda z: GaussianBelief(np.full(k, z), noise.Pi0),
                         SteadyStateLke(stack.F, noise, ctx.lke_schedules),
-                        lambda belief: multi_step_predict(stack, belief.mean, a), k)
+                        lambda belief: forecast(belief.mean), k)
 
 
 def _e4ptrw_runner(name, kind, p, ctx: RunContext) -> Runner:
     window = p["window"]
     if window < E4PTRW_MIN_PAIRS:
         raise ConfigError(f"e4ptrw window must be >= {E4PTRW_MIN_PAIRS}, got {window}")
-    return E4ptrwRunner(name, ctx.horizon, window)
+    stack = stack_transition(StackKind.E4PTRW)
+    step_fn = partial(_e4ptrw_step, stack, np.zeros((window, 4)), np.zeros(window))
+    # the first regression row comes with the fifth measurement
+    return _open_loop_runner(name, stack, step_fn, ctx.horizon, 5)
 
 
 _UAM_KEYS = {
@@ -351,8 +351,7 @@ _NNSSE_KEYS = {
 _STACK_LKE_KEYS = {"q": 1e-4, "r": 1.0, "p0": 1.0}
 
 # The one table of estimator kinds: kind -> (builder, accepted keys with their
-# shipped defaults).  Every kind but the open-loop stacks (``stack`` with
-# mode = open, and ``e4ptrw``) builds a `FilterRunner`.  Every key is
+# shipped defaults).  Every kind builds a `FilterRunner`.  Every key is
 # overridable per estimator section and any other key is rejected.  A
 # configured value is converted to the type of its default.  A type in place
 # of a default marks a key that is None when unset and converted to that type

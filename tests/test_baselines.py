@@ -274,6 +274,22 @@ def test_multi_step_n1_equals_transition():
         assert one == pytest.approx(float((m.F @ state)[0]))
 
 
+@pytest.mark.parametrize("kind", list(StackKind))
+def test_stack_forecaster_is_n_companion_products(kind):
+    m = stack_transition(kind)
+    rng = np.random.default_rng(9)
+    forecasters = [m.forecaster(n) for n in range(5)]
+    for refit in (False, True):
+        if refit:  # bound before an in-place refit of row 0, read after it
+            m.F[0] = rng.standard_normal(m.k)
+        for _ in range(20):
+            x = rng.standard_normal(m.k) * 10.0 ** rng.uniform(-3, 3, m.k)
+            want = x
+            for n, forecast in enumerate(forecasters):
+                assert forecast(x).hex() == float(want[0]).hex(), (refit, n)
+                want = m.F @ want
+
+
 def test_multi_step_requires_positive_n():
     with pytest.raises(ValueError):
         multi_step_predict(stack_transition(StackKind.E2P), [1.0, 0.0], 0)

@@ -30,7 +30,7 @@ from nnsse.bench import (
     run_single_seed,
 )
 from nnsse.cli import EXIT_CONFIG, EXIT_ESTIMATOR_FAILURE, main
-from nnsse.estimators import EstimatorError, SteadyStateLke, lke_step
+from nnsse.estimators import EstimatorError, GaussianBelief, SteadyStateLke, lke_step
 from nnsse.model import Topology
 from nnsse.runners import ConfigError, RunContext, Runner, build_runner
 from nnsse.signals import Trajectory, gen_sine, save_trajectory
@@ -441,7 +441,7 @@ def test_schedule_store_is_empty_after_every_run(pool, monkeypatch):
 
 def test_import_leaves_the_process_pool_unloaded():
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = ("import sys, nnsse\n"
+    code = ("import sys, nnsse.bench\n"
             "assert 'concurrent.futures.process' not in sys.modules\n"
             "assert nnsse.bench.ProcessPoolExecutor.__module__ == 'concurrent.futures.process'\n")
     proc = subprocess.run([sys.executable, "-c", code],
@@ -651,6 +651,34 @@ def test_non_finite_forecast_is_a_recorded_failure(tmp_path):
         assert np.isnan(res.predictions[step:]).all(), name
 
 
+def test_diverging_rows_leave_only_their_failure_lines_on_stderr(tmp_path):
+    # Every kind, both stack modes, on the series above: each step overflows
+    # or turns invalid, and the failures are recorded, so NumPy must not
+    # print warnings (with their source paths) ahead of the failure lines.
+    z = np.where(np.arange(400) % 2 == 0, 1e308, -1e308)
+    save_trajectory(tmp_path / "huge.csv", Trajectory(0.005, z))
+    rows = {"UAM-LKE": "uam_lke", "UAM-UKE": "uam_uke", "Accurate-Sin": "sine_lke",
+            "NNSSE-UKE": "nnsse_uke", "NNSSE-EKE": "nnsse_eke",
+            "NNSSE-PE": "nnsse_pe\nparticles = 50", "E2P": "stack\nstack = E2P",
+            "E2P-LKE": "stack\nstack = E2P\nmode = lke", "E4PTRW": "e4ptrw"}
+    config = tmp_path / "run.ini"
+    config.write_text("[trajectory]\nsource = file\npath = huge.csv\n[run]\nwindows = 0:400\n"
+                      + "".join(f"[estimator:{name}]\nkind = {kind}\n"
+                                for name, kind in rows.items()), encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-m", "nnsse", "run", "--config", str(config),
+                           "--out-dir", str(tmp_path / "out")], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_ESTIMATOR_FAILURE, proc.stderr
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    estimators = report["results"][0]["estimators"]
+    assert list(estimators) == list(rows)
+    assert all(row["failure"] for row in estimators.values())
+    assert proc.stderr == "".join(f"estimator failure (seed 1, {name}): {row['failure']}\n"
+                                  for name, row in estimators.items())
+
+
 def test_overflowing_window_total_is_a_recorded_failure(tmp_path, capsys):
     # Finite forecasts of a finite series whose squared errors sum past the
     # largest float: the total must not be reported as inf, and report.json
@@ -720,7 +748,7 @@ def test_e4ptrw_refit_in_place_matches_a_model_rebuilt_every_step(window):
     z[150] = np.nan  # the refit drops its rows, then falls back to the published row
     runner = build_runner("E4PTRW", "e4ptrw", {"window": window},
                           RunContext(3, 0.005, 1))
-    stack = runner.stack
+    stack = runner.step_fn.args[0]
     rows, targets, coeffs = [], [], np.array(STACK_COEFFS[StackKind.E4PTRW])
     got, want = [], []
     for i, v in enumerate(z.tolist()):
@@ -731,7 +759,7 @@ def test_e4ptrw_refit_in_place_matches_a_model_rebuilt_every_step(window):
             coeffs = e4ptrw_refit(np.array(rows), np.array(targets))
         want.append(v.hex() if i < 3 else
                     multi_step_predict(StackModel(coeffs), z[i - 3:i + 1][::-1].copy(), 3).hex())
-    assert runner.stack is stack and got == want
+    assert runner.step_fn.args[0] is stack and got == want
 
 
 @pytest.mark.parametrize("window", [3, -1])
@@ -927,15 +955,13 @@ class _CovarianceTurnsNan(Runner):
         super().__init__(name)
         self.n = n
         self.steps = 0
+        self.state = None
 
     def step(self, z):
         self.steps += 1
+        cov = np.full((self.n, self.n), np.nan) if self.steps > 51 else np.eye(self.n)
+        self.state = GaussianBelief(np.full(self.n, z), cov)
         return float(z)
-
-    def covariance(self):
-        if self.steps > 51:
-            return np.full((self.n, self.n), np.nan)
-        return np.eye(self.n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -978,16 +1004,15 @@ class _FailsAtStep(Runner):
     def __init__(self, name, k, how):
         super().__init__(name)
         self.k, self.how, self.i = k, how, -1
+        self.state = None
 
     def step(self, z):
         self.i += 1
         if self.i == self.k and self.how == "raises":
             raise EstimatorError("stub diverged")
-        return math.inf if self.i == self.k and self.how == "forecast" else float(z)
-
-    def covariance(self):
         bad = self.i == self.k and self.how == "covariance"
-        return np.full((2, 2), np.nan) if bad else np.eye(2)
+        self.state = GaussianBelief(np.full(2, z), np.full((2, 2), np.nan) if bad else np.eye(2))
+        return math.inf if self.i == self.k and self.how == "forecast" else float(z)
 
 
 @pytest.mark.parametrize("how, audit, message", [
@@ -1020,8 +1045,8 @@ def _audit_oracle(config, seed):
         covs = []
         for z in traj.measurement:
             runner.step(z)
-            if runner.covariance() is not None:
-                covs.append(runner.covariance())
+            if getattr(runner.state, "cov", None) is not None:
+                covs.append(runner.state.cov)
         asym, eig = _eigvalsh_every_step(covs)
         out[spec.name] = (eig if math.isfinite(eig) else None, asym)
     return out

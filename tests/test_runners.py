@@ -10,12 +10,26 @@ import numpy as np
 import pytest
 
 import nnsse.estimators
-from nnsse.baselines import SineModel, StackKind, UamModel, multi_step_predict, stack_transition
+from nnsse.baselines import (
+    SineModel,
+    StackKind,
+    UamModel,
+    e4ptrw_refit,
+    multi_step_predict,
+    stack_transition,
+)
 from nnsse.cli import EXIT_CONFIG, main
 from nnsse.config import load_config
 from nnsse.estimators import GaussianBelief, UkeParams, lke_step
 from nnsse.model import Topology
-from nnsse.runners import ConfigError, RunContext, build_runner, estimator_rng
+from nnsse.runners import (
+    ESTIMATOR_KINDS,
+    ConfigError,
+    FilterRunner,
+    RunContext,
+    build_runner,
+    estimator_rng,
+)
 from nnsse.signals import gen_sine
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -188,7 +202,7 @@ def test_linear_runner_matches_plain_lke_step_bitwise(kind, params, model):
         if i:
             belief, _ = lke_step(F, noise, belief, z[i])
         want.append((forecast(belief.mean), belief.cov))
-        got.append((runner.step(z[i]), runner.covariance()))
+        got.append((runner.step(z[i]), runner.state.cov))
     assert np.array([f for f, _ in got]).tobytes() == np.array([f for f, _ in want]).tobytes()
     assert np.array([c for _, c in got]).tobytes() == np.array([c for _, c in want]).tobytes()
     assert (runner.step_fn.cov is None) == (kind == "sine_lke")
@@ -299,3 +313,38 @@ def test_every_step_returns_z_minus_its_predicted_observation(kind, params):
         expected = value - _predicted_observation(kind, runner, runner.state)
         runner.state, innovation = runner.step_fn(runner.state, value)
         assert innovation == pytest.approx(expected, rel=0, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind, params", [*((kind, {}) for kind in ESTIMATOR_KINDS),
+                                          ("stack", {"mode": "lke"})])
+def test_every_kind_builds_a_filter_runner(kind, params):
+    assert type(build_runner("X", kind, params, ctx())) is FilterRunner
+
+
+OPEN_LOOP_KINDS = [("stack", {"stack": "E2P"}), ("stack", {"stack": "E4P"}),
+                   ("e4ptrw", {"window": "7"})]
+
+
+@pytest.mark.parametrize("kind, params", OPEN_LOOP_KINDS, ids=["E2P", "E4P", "E4PTRW"])
+def test_open_loop_innovation_is_z_minus_the_previous_windows_prediction(kind, params):
+    # Until k measurements have arrived the innovation is z minus the last
+    # one, then z minus row 0 of F on the window z has not yet entered; for
+    # E4PTRW that F is the one in force before z arrived.
+    z = _noisy_sine(200)
+    z[80] = np.nan  # the refit drops its rows, then falls back to the published row
+    stack = stack_transition(StackKind[params.get("stack", "E4PTRW")])
+    F, k = stack.F.copy(), stack.k
+    runner = build_runner("X", kind, params, RunContext(3, T, 1, OMEGA))
+    rows, targets, got, want = [], [], [], []
+    for i, value in enumerate(z.tolist()):
+        if i == 0:
+            runner.step(value)
+        else:
+            runner.state, innovation = runner.step_fn(runner.state, value)
+            got.append(innovation)
+            want.append(z[i] - (z[i - 1] if i < k else (F @ z[i - k:i][::-1].copy())[0]))
+        if kind == "e4ptrw" and i >= 4:
+            rows, targets = (rows + [z[i - 4:i][::-1]])[-7:], (targets + [value])[-7:]
+            if len(rows) == 7:
+                F[0] = e4ptrw_refit(np.array(rows), np.array(targets))
+    assert np.array(got).tobytes() == np.array(want).tobytes()
