@@ -61,13 +61,17 @@ class StackModel:
         return self.F.shape[0]
 
     def forecaster(self, n: int):
-        """x[0] after n products F @ x (n = 0 reads x[0]), bound to n.  It
-        holds F itself, not a copy, so a refit of F[0] in place applies."""
-        F = self.F
+        """x[0] after n products F x (n = 0 reads x[0]), bound to n.  It
+        holds F itself, not a copy, so a refit of F[0] in place applies.
+
+        The products are ``F.dot(x)``: the bits of ``F @ x`` for a contiguous
+        x, and of its contiguous copy for a strided one (``F @ x`` sums a
+        strided x in another order), at about half the call cost."""
+        dot = self.F.dot
 
         def forecast(x):
             for _ in range(n):
-                x = F @ x
+                x = dot(x)
             return float(x[0])
 
         return forecast

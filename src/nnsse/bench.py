@@ -325,7 +325,13 @@ class CovarianceAudit:
             return False
         self.max_asymmetry = max(self.max_asymmetry, asym)
         if not screened:
-            self.min_eigenvalue = min(w, float(np.linalg.eigvalsh(cov).min()))
+            # Ascending, so element 0 is the minimum, but for the sign of a
+            # zero: `min` takes it from the last of tied zeros.
+            eigenvalues = np.linalg.eigvalsh(cov)
+            lowest = float(eigenvalues[0])
+            if lowest == 0.0:
+                lowest = float(eigenvalues.min())
+            self.min_eigenvalue = min(w, lowest)
         self._folded, self._folded_bytes = cov, snapshot
         return True
 
@@ -423,20 +429,36 @@ def __getattr__(name):
 
 
 def run_experiment(config: ExperimentConfig, audit: bool = False,
-                   parallel: int = 1) -> RunReport:
-    """Run every (seed, estimator) pair, seeds on up to `parallel` processes."""
+                   parallel: int = 1, on_seed=None) -> RunReport:
+    """Run every (seed, estimator) pair, seeds on up to `parallel` processes.
+
+    ``on_seed``, when given, is called in this process with each `SeedRun`,
+    in seed order, as soon as that seed and every earlier one are done: the
+    pool hands results back in that order, and the serial path calls it after
+    each seed.  So it can write seed k's output while the workers run the
+    later seeds.  A seed that raises stops the run before ``on_seed`` sees it
+    or any later seed."""
     if parallel < 1:
         raise ConfigError(f"parallel must be >= 1, got {parallel}")
     workers = min(parallel, len(config.seeds))
     jobs = [(config, s, audit) for s in config.seeds]
+    seed_runs = []
+
+    def done(run: SeedRun) -> None:
+        seed_runs.append(run)
+        if on_seed is not None:
+            on_seed(run)
+
     _schedules.clear()  # forked workers inherit it empty
     try:
         if workers > 1:
             from .bench import ProcessPoolExecutor  # through __getattr__ or a patch
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                seed_runs = list(pool.map(_seed_worker, jobs))
+                for run in pool.map(_seed_worker, jobs):
+                    done(run)
         else:
-            seed_runs = [run_single_seed(*job, _schedules) for job in jobs]
+            for job in jobs:
+                done(run_single_seed(*job, _schedules))
     finally:
         _schedules.clear()
     return RunReport(config, seed_runs)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .bench import run_experiment
 from .config import load_config
-from .report import emit_report, load_report, render_table, write_summary_csv
+from .report import emit_report, load_report, render_table, write_run_csv, write_summary_csv
 from .runners import ConfigError
 from .signals import SINE_DEFAULTS, TrajectoryFormatError, gen_sine, save_trajectory
 
@@ -48,7 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out-dir", type=Path, default=Path("report"))
     run.add_argument("--format", choices=("table", "csv"), default="table")
     run.add_argument("--parallel", type=int, default=1,
-                     help="number of seed runs to execute concurrently")
+                     help="number of seed runs to execute concurrently; each "
+                          "seed's run CSV is written as soon as it and every "
+                          "earlier seed are done")
     run.add_argument("--audit", action="store_true",
                      help="check every step's covariance P: report the largest "
                           "|P - P^T| entry and the exact smallest eigenvalue of "
@@ -98,11 +100,13 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seeds=[args.seed])
     _check_out_dir(args.out_dir)
-    report = run_experiment(config, audit=args.audit, parallel=args.parallel)
-    written, table = emit_report(report, args.format, args.out_dir)
+    run_csvs = []  # written while the later seeds run
+    report = run_experiment(config, audit=args.audit, parallel=args.parallel,
+                            on_seed=lambda run: run_csvs.append(write_run_csv(args.out_dir, run)))
+    (json_path, *rest), table = emit_report(report, args.format, args.out_dir)
     if table is not None:
         print(table)
-    for path in written:
+    for path in (json_path, *run_csvs, *rest):
         print(f"wrote {path}")
     if report.failures:
         for seed, name, failure in report.failures:

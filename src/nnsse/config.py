@@ -68,6 +68,7 @@ def _split_windows(text: str) -> list[tuple[int, int]]:
 
 
 # [run] key -> parser of its text; an absent key takes its field's default.
+# A parser's own message is a `ConfigError`; a bare ValueError is int's.
 _RUN_KEYS = {
     "horizon": int,
     "seeds": _split_ints,
@@ -77,6 +78,15 @@ _RUN_KEYS = {
 }
 
 
+def _run_value(key: str, text: str):
+    try:
+        return _RUN_KEYS[key](text)
+    except ConfigError:
+        raise
+    except ValueError:
+        raise ConfigError(f"[run] {key} = {text!r} is not a valid int") from None
+
+
 def _trajectory_section(section) -> dict:
     source = section.get("source", "sine").strip().lower()
     if source == "sine":
@@ -84,7 +94,11 @@ def _trajectory_section(section) -> dict:
         spec = {"source": "sine"}
         for key in SINE_DEFAULTS:
             if key in section:
-                value = float(section[key])
+                try:
+                    value = float(section[key])
+                except ValueError:
+                    raise ConfigError(f"[trajectory] {key} = {section[key]!r} is not "
+                                      f"a valid float") from None
                 in_range = value >= 0 if key == "noise_var" else value > 0
                 if not (in_range and math.isfinite(value)):
                     least = "zero or more" if key == "noise_var" else "positive"
@@ -123,7 +137,7 @@ def load_config(path) -> ExperimentConfig:
 
         run = parser["run"] if "run" in parser else {}
         _reject_unknown_keys("run", run, _RUN_KEYS)
-        run_values = {key: parse(run[key]) for key, parse in _RUN_KEYS.items() if key in run}
+        run_values = {key: _run_value(key, run[key]) for key in _RUN_KEYS if key in run}
 
         estimators = []
         for section in parser.sections():

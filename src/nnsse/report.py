@@ -2,13 +2,18 @@
 
 A benchmark run is persisted as:
 
+* ``run_seed<N>.csv`` - the trajectory plus ``pred_<name>``/``err_<name>``
+                      columns (loadable by ``signals.load_trajectory``),
+                      written by `write_run_csv` as soon as seed N is back,
+                      while later seeds may still be running;
 * ``report.json``   - config echo, per-estimator window errors, timings,
                       failures and covariance-health audit results;
-* ``run_seed<N>.csv`` - the trajectory plus ``pred_<name>``/``err_<name>``
-                      columns (loadable by ``signals.load_trajectory``);
 * ``summary.csv``   - one row per (seed, estimator) with window errors and
                       the wall-clock seconds column;
 * ``table.txt``     - the aligned text table (table format only).
+
+The last three need every seed; `emit_report` writes them once the run
+has ended.
 
 Accumulated errors are shown scaled by 1e4 (noted in the heading) whenever
 the largest value reaches 1e4.
@@ -21,12 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import RunReport
+from .bench import RunReport, SeedRun
 from .runners import ConfigError
 from .signals import read_utf8, save_trajectory
 
 SCALE_THRESHOLD = 1e4
 SCALE_LABEL = "×10⁴"  # x10^4
+_RUN_CSV = "run_seed{seed}.csv"
 
 
 def report_to_dict(report: RunReport) -> dict:
@@ -42,7 +48,7 @@ def report_to_dict(report: RunReport) -> dict:
     for run in report.seed_runs:
         entry = {
             "seed": run.seed,
-            "series_csv": f"run_seed{run.seed}.csv",
+            "series_csv": _RUN_CSV.format(seed=run.seed),
             "order": list(run.order),
             "estimators": {},
         }
@@ -161,9 +167,21 @@ def write_summary_csv(path, data: dict) -> None:
                 fh.write(",".join(cells) + "\n")
 
 
+def write_run_csv(out_dir, run: SeedRun) -> Path:
+    """Write one seed's run CSV into out_dir, creating the directory if need
+    be, and return its path."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / _RUN_CSV.format(seed=run.seed)
+    save_trajectory(path, run.trajectory, run.csv_columns())
+    return path
+
+
 def emit_report(report: RunReport, fmt: str, out_dir) -> tuple[list[Path], str | None]:
-    """Write report files, plus table.txt for fmt 'table'; a fmt other than 'table'
-    or 'csv' raises before any write.  Returns the paths and the table (None for 'csv')."""
+    """Write the files that need every seed: report.json, summary.csv and,
+    for fmt 'table', table.txt (the run CSVs are `write_run_csv`'s).  A fmt
+    other than 'table' or 'csv' raises before any write.  Returns the paths
+    and the table (None for 'csv')."""
     if fmt not in ("table", "csv"):
         raise ValueError(f"unknown report format {fmt!r}")
     out = Path(out_dir)
@@ -176,11 +194,6 @@ def emit_report(report: RunReport, fmt: str, out_dir) -> tuple[list[Path], str |
         json.dump(data, fh, indent=2)
         fh.write("\n")
     written.append(json_path)
-
-    for run in report.seed_runs:
-        csv_path = out / f"run_seed{run.seed}.csv"
-        save_trajectory(csv_path, run.trajectory, run.csv_columns())
-        written.append(csv_path)
 
     summary_path = out / "summary.csv"
     write_summary_csv(summary_path, data)

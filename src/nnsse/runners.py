@@ -120,7 +120,7 @@ def _stack_step(stack: StackModel, state: StackWindow, z: float):
     window[1:] = window[:-1]
     window[0] = z
     state.seen += 1
-    state.prediction = stack.F @ window if state.seen >= len(window) else None
+    state.prediction = stack.F.dot(window) if state.seen >= len(window) else None
     return state, innovation
 
 

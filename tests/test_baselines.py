@@ -19,6 +19,7 @@ from nnsse.baselines import (
 )
 from nnsse.estimators import GaussianBelief, lke_step
 from nnsse.model import NoiseSpec
+from nnsse.signals import gen_sine
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +289,21 @@ def test_stack_forecaster_is_n_companion_products(kind):
             for n, forecast in enumerate(forecasters):
                 assert forecast(x).hex() == float(want[0]).hex(), (refit, n)
                 want = m.F @ want
+
+
+@pytest.mark.parametrize("kind", list(StackKind))
+def test_stack_forecast_does_not_depend_on_the_state_strides(kind):
+    # A reversed view of the series (newest first) is the natural window;
+    # `F @ x` once summed it in another order than its contiguous copy.
+    m = stack_transition(kind)
+    z = gen_sine(10.0, 1.0, 200.0, 2000, 1.0, seed=1).measurement
+    forecast = m.forecaster(3)
+    for i in range(m.k - 1, len(z)):
+        view = z[i - m.k + 1:i + 1][::-1]
+        copy = view.copy()
+        want = float((m.F @ (m.F @ (m.F @ copy)))[0]).hex()
+        assert forecast(view).hex() == forecast(copy).hex() == want, i
+        assert multi_step_predict(m, view, 3).hex() == want, i
 
 
 def test_multi_step_requires_positive_n():

@@ -614,6 +614,128 @@ def test_run_prints_the_table_it_writes(tmp_path, capsys, monkeypatch):
     assert renders == [1]
 
 
+# One row of every estimator kind, both stack modes: name -> its section body.
+EVERY_KIND = {"UAM-LKE": "uam_lke", "UAM-UKE": "uam_uke", "Accurate-Sin": "sine_lke",
+              "NNSSE-UKE": "nnsse_uke", "NNSSE-EKE": "nnsse_eke",
+              "NNSSE-PE": "nnsse_pe\nparticles = 50", "E2P": "stack\nstack = E2P",
+              "E2P-LKE": "stack\nstack = E2P\nmode = lke", "E4PTRW": "e4ptrw"}
+
+
+def _roster(rows: dict) -> str:
+    return "".join(f"[estimator:{name}]\nkind = {kind}\n" for name, kind in rows.items())
+
+
+def _run_files(config, out, parallel, capsys) -> tuple[int, dict[str, bytes]]:
+    """`nnsse run`'s exit code and run CSVs; its ``wrote`` lines must name
+    report.json, the run CSVs in seed order, summary.csv and table.txt."""
+    from nnsse.config import load_config
+
+    code = main(["run", "--config", str(config), "--out-dir", str(out),
+                 "--parallel", str(parallel)])
+    seeds = load_config(config).seeds
+    names = ["report.json", *(f"run_seed{s}.csv" for s in seeds), "summary.csv", "table.txt"]
+    assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")] \
+        == [f"wrote {out / name}" for name in names]
+    return code, {p.name: p.read_bytes() for p in out.glob("run_seed*.csv")}
+
+
+def _cellwise_csv(run) -> bytes:
+    """Reference of `save_trajectory` for a run CSV, assembled cell by cell:
+    a non-finite extra cell is empty."""
+    traj, columns = run.trajectory, run.csv_columns()
+    T, truth = float(traj.sample_period), traj.truth
+    lines = [",".join(["step", "t", "truth", "measurement", *columns])]
+    for i, z in enumerate(traj.measurement.tolist()):
+        cells = [str(i), format(i * T, ".17g"),
+                 "" if truth is None else format(float(truth[i]), ".17g"), format(z, ".17g")]
+        cells += [format(float(c[i]), ".17g") if math.isfinite(c[i]) else ""
+                  for c in columns.values()]
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_run_csvs_are_the_same_bytes_serial_and_parallel(tmp_path, capsys):
+    from nnsse.config import load_config
+
+    config = tmp_path / "run.ini"
+    config.write_text("[trajectory]\nsteps = 300\n[run]\nseeds = 3 1 2\nwindows = 0:300\n"
+                      + _roster(EVERY_KIND), encoding="utf-8")
+    files = {}
+    for parallel in (1, 2):
+        code, files[parallel] = _run_files(config, tmp_path / f"out{parallel}", parallel,
+                                           capsys)
+        assert code == 0
+    for run in run_experiment(load_config(config)).seed_runs:
+        save_trajectory(tmp_path / "oracle.csv", run.trajectory, run.csv_columns())
+        name = f"run_seed{run.seed}.csv"
+        assert files[1][name] == files[2][name] == (tmp_path / "oracle.csv").read_bytes() \
+            == _cellwise_csv(run)
+    assert sorted(files[1]) == sorted(files[2]) == [f"run_seed{s}.csv" for s in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_run_csv_of_a_row_failing_mid_run_is_written_cell_by_cell(parallel, tmp_path,
+                                                                  capsys):
+    from nnsse.config import load_config
+
+    # A spike at step 200 overflows the forecasts of every row but UAM-P:
+    # their cells are empty from there on, and the first steps of every
+    # row have no forecast or no error yet.  The window ends before the spike.
+    sine = gen_sine(10.0, 1.0, 200.0, 400, 1.0, seed=1)
+    z = sine.measurement.copy()
+    z[200] = 5e307
+    save_trajectory(tmp_path / "spike.csv", Trajectory(sine.sample_period, z))
+    rows = {"UAM-P": "uam_lke\norder = 1", "E2P": "stack\nstack = E2P",
+            "E4PTRW": "e4ptrw", "NNSSE-EKE": "nnsse_eke"}
+    config = tmp_path / "run.ini"
+    config.write_text(f"[trajectory]\nsource = file\npath = {tmp_path / 'spike.csv'}\n"
+                      f"[run]\nseeds = 1 2\nwindows = 0:200\n" + _roster(rows),
+                      encoding="utf-8")
+    code, files = _run_files(config, tmp_path / "out", parallel, capsys)
+    assert code == EXIT_ESTIMATOR_FAILURE
+    report = run_experiment(load_config(config))
+    failures = {name: res.failure for name, res in report.seed_runs[0].results.items()}
+    assert failures == {"UAM-P": None, **{name: "step 200: non-finite forecast"
+                                          for name in ("E2P", "E4PTRW", "NNSSE-EKE")}}
+    for run in report.seed_runs:
+        assert files[f"run_seed{run.seed}.csv"] == _cellwise_csv(run)
+
+
+@pytest.mark.parametrize("pool", [None, InProcessPool], ids=["serial", "in-process-pool"])
+def test_on_seed_sees_each_seed_once_in_seed_order_as_it_ends(pool, monkeypatch):
+    import nnsse.bench
+
+    plain_seed, events = nnsse.bench.run_single_seed, []
+
+    def seed_run(config, s, *args):
+        events.append(("run", s))
+        return plain_seed(config, s, *args)
+
+    monkeypatch.setattr(nnsse.bench, "run_single_seed", seed_run)
+    if pool is not None:  # a lazy map: each seed runs when its result is asked for
+        monkeypatch.setattr(nnsse.bench, "ProcessPoolExecutor", pool)
+    cfg = sine_config([EstimatorSpec("E2P", "stack", {"stack": "E2P"})], steps=200,
+                      windows=((0, 200),), seeds=(3, 1, 2))
+    seen = []
+
+    def on_seed(run):
+        seen.append(run)
+        events.append(("on", run.seed))
+
+    report = run_experiment(cfg, parallel=1 if pool is None else 2, on_seed=on_seed)
+    assert events == [(kind, s) for s in (3, 1, 2) for kind in ("run", "on")]
+    assert len(seen) == 3 and all(a is b for a, b in zip(seen, report.seed_runs))
+
+
+def test_on_seed_with_a_process_pool_sees_every_seed_in_order():
+    cfg = sine_config([EstimatorSpec("E2P", "stack", {"stack": "E2P"})], steps=200,
+                      windows=((0, 200),), seeds=(3, 1, 2))
+    seen = []
+    report = run_experiment(cfg, parallel=2, on_seed=seen.append)
+    assert [run.seed for run in seen] == [3, 1, 2]
+    assert all(a is b for a, b in zip(seen, report.seed_runs))
+
+
 def test_unknown_report_format_writes_nothing(tmp_path):
     from nnsse.report import emit_report
 
@@ -657,14 +779,10 @@ def test_diverging_rows_leave_only_their_failure_lines_on_stderr(tmp_path):
     # print warnings (with their source paths) ahead of the failure lines.
     z = np.where(np.arange(400) % 2 == 0, 1e308, -1e308)
     save_trajectory(tmp_path / "huge.csv", Trajectory(0.005, z))
-    rows = {"UAM-LKE": "uam_lke", "UAM-UKE": "uam_uke", "Accurate-Sin": "sine_lke",
-            "NNSSE-UKE": "nnsse_uke", "NNSSE-EKE": "nnsse_eke",
-            "NNSSE-PE": "nnsse_pe\nparticles = 50", "E2P": "stack\nstack = E2P",
-            "E2P-LKE": "stack\nstack = E2P\nmode = lke", "E4PTRW": "e4ptrw"}
+    rows = EVERY_KIND
     config = tmp_path / "run.ini"
     config.write_text("[trajectory]\nsource = file\npath = huge.csv\n[run]\nwindows = 0:400\n"
-                      + "".join(f"[estimator:{name}]\nkind = {kind}\n"
-                                for name, kind in rows.items()), encoding="utf-8")
+                      + _roster(rows), encoding="utf-8")
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run([sys.executable, "-m", "nnsse", "run", "--config", str(config),
                            "--out-dir", str(tmp_path / "out")], cwd=tmp_path,
@@ -785,6 +903,15 @@ def _eigvalsh_every_step(covs):
         asym = max(asym, float(np.abs(cov - cov.T).max()))
         eig = min(eig, float(np.linalg.eigvalsh(cov).min()))
     return asym, eig
+
+
+def test_audit_keeps_the_sign_of_a_zero_minimum_eigenvalue():
+    # eigvalsh gives [0.0, -0.0] here: the ascending order puts +0 first,
+    # the minimum of every step's eigenvalues is -0.
+    for cov in (np.array([[0.0, 0.0], [0.0, -0.0]]), np.diag([-0.0, 0.0, 0.0, 0.0, -0.0, 2.0])):
+        audit = CovarianceAudit()
+        assert audit.update(cov)
+        assert repr(audit.min_eigenvalue) == repr(_eigvalsh_every_step([cov])[1]) == "-0.0"
 
 
 def _near_tie_covariances(n, rng, steps=12):
@@ -1199,6 +1326,18 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys):
 ])
 def test_unknown_trajectory_and_run_keys_are_config_errors(section, message, tmp_path,
                                                            capsys):
+    assert _config_error(section + _UAM_LKE_ROW, tmp_path, capsys) == message
+
+
+@pytest.mark.parametrize("section, message", [
+    ("[trajectory]\namplitude = ten\n[run]\n",
+     "[trajectory] amplitude = 'ten' is not a valid float"),
+    ("[trajectory]\nsteps = 1e3x\n[run]\n", "[trajectory] steps = '1e3x' is not a valid float"),
+    ("[trajectory]\n[run]\nhorizon = x\n", "[run] horizon = 'x' is not a valid int"),
+    ("[trajectory]\n[run]\nwarmup = 2.5\n", "[run] warmup = '2.5' is not a valid int"),
+], ids=["trajectory_float", "trajectory_steps", "run_horizon", "run_warmup"])
+def test_non_numeric_trajectory_and_run_values_name_their_key(section, message, tmp_path,
+                                                              capsys):
     assert _config_error(section + _UAM_LKE_ROW, tmp_path, capsys) == message
 
 
