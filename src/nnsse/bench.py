@@ -325,13 +325,7 @@ class CovarianceAudit:
             return False
         self.max_asymmetry = max(self.max_asymmetry, asym)
         if not screened:
-            # Ascending, so element 0 is the minimum, but for the sign of a
-            # zero: `min` takes it from the last of tied zeros.
-            eigenvalues = np.linalg.eigvalsh(cov)
-            lowest = float(eigenvalues[0])
-            if lowest == 0.0:
-                lowest = float(eigenvalues.min())
-            self.min_eigenvalue = min(w, lowest)
+            self.min_eigenvalue = min(w, float(np.linalg.eigvalsh(cov).min()))
         self._folded, self._folded_bytes = cov, snapshot
         return True
 

@@ -50,7 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--parallel", type=int, default=1,
                      help="number of seed runs to execute concurrently; each "
                           "seed's run CSV is written as soon as it and every "
-                          "earlier seed are done")
+                          "earlier seed are done, and report.json, summary.csv "
+                          "and table.txt once all are (a run that stops early "
+                          "leaves its run CSVs and none of these)")
     run.add_argument("--audit", action="store_true",
                      help="check every step's covariance P: report the largest "
                           "|P - P^T| entry and the exact smallest eigenvalue of "
@@ -103,10 +105,10 @@ def _cmd_run(args) -> int:
     run_csvs = []  # written while the later seeds run
     report = run_experiment(config, audit=args.audit, parallel=args.parallel,
                             on_seed=lambda run: run_csvs.append(write_run_csv(args.out_dir, run)))
-    (json_path, *rest), table = emit_report(report, args.format, args.out_dir)
+    json_path, later, table = emit_report(report, args.format, args.out_dir)
     if table is not None:
         print(table)
-    for path in (json_path, *run_csvs, *rest):
+    for path in (json_path, *run_csvs, *later):
         print(f"wrote {path}")
     if report.failures:
         for seed, name, failure in report.failures:

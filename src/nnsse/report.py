@@ -13,7 +13,9 @@ A benchmark run is persisted as:
 * ``table.txt``     - the aligned text table (table format only).
 
 The last three need every seed; `emit_report` writes them once the run
-has ended.
+has ended.  Each `write_run_csv` first removes them from the directory, so
+a run that stops after some seeds (a seed that raises, an interrupt) leaves
+its new run CSVs but no report of an earlier run beside them.
 
 Accumulated errors are shown scaled by 1e4 (noted in the heading) whenever
 the largest value reaches 1e4.
@@ -33,6 +35,8 @@ from .signals import read_utf8, save_trajectory
 SCALE_THRESHOLD = 1e4
 SCALE_LABEL = "×10⁴"  # x10^4
 _RUN_CSV = "run_seed{seed}.csv"
+# The files `emit_report` writes, which describe every seed of one run.
+_REPORT_FILES = ("report.json", "summary.csv", "table.txt")
 
 
 def report_to_dict(report: RunReport) -> dict:
@@ -169,43 +173,44 @@ def write_summary_csv(path, data: dict) -> None:
 
 def write_run_csv(out_dir, run: SeedRun) -> Path:
     """Write one seed's run CSV into out_dir, creating the directory if need
-    be, and return its path."""
+    be, and return its path.  Any report.json, summary.csv or table.txt in
+    out_dir is removed first: until `emit_report` rewrites them they describe
+    an earlier run."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name in _REPORT_FILES:
+        (out / name).unlink(missing_ok=True)
     path = out / _RUN_CSV.format(seed=run.seed)
     save_trajectory(path, run.trajectory, run.csv_columns())
     return path
 
 
-def emit_report(report: RunReport, fmt: str, out_dir) -> tuple[list[Path], str | None]:
+def emit_report(report: RunReport, fmt: str,
+                out_dir) -> tuple[Path, list[Path], str | None]:
     """Write the files that need every seed: report.json, summary.csv and,
     for fmt 'table', table.txt (the run CSVs are `write_run_csv`'s).  A fmt
-    other than 'table' or 'csv' raises before any write.  Returns the paths
-    and the table (None for 'csv')."""
+    other than 'table' or 'csv' raises before any write.  Returns the path of
+    report.json, the paths of the files after it and the table (None for
+    'csv')."""
     if fmt not in ("table", "csv"):
         raise ValueError(f"unknown report format {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     data = report_to_dict(report)
-    written = []
+    json_path, summary_path, table_path = (out / name for name in _REPORT_FILES)
 
-    json_path = out / "report.json"
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")
-    written.append(json_path)
-
-    summary_path = out / "summary.csv"
     write_summary_csv(summary_path, data)
-    written.append(summary_path)
+    later = [summary_path]
 
     table = None
     if fmt == "table":
         table = render_table(data)
-        table_path = out / "table.txt"
         table_path.write_text(table, encoding="utf-8")
-        written.append(table_path)
-    return written, table
+        later.append(table_path)
+    return json_path, later, table
 
 
 def _missing(obj, keys, where: str = "") -> list[str]:

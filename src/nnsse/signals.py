@@ -112,38 +112,26 @@ def save_trajectory(path, trajectory: Trajectory,
     """Write the CSV schema; extra columns are appended after `measurement`.
 
     Extra-column cells that are not finite (NaN, ±inf) are written empty.
-    A row whose extra cells are all finite is written with one ``%`` format
-    of the whole row (``"%.17g" % v`` is ``format(v, ".17g")`` byte for
-    byte); only a row with an empty cell is assembled cell by cell.
     """
-    extra = {name: np.asarray(series, dtype=float)
-             for name, series in (extra_columns or {}).items()}
+    extra = extra_columns or {}
     n = len(trajectory)
     for name, series in extra.items():
         if len(series) != n:
             raise ValueError(f"extra column {name!r} has wrong length")
-    header = ["step", "t", "truth", "measurement", *extra]
+    header = ["step", "t", "truth", "measurement", *extra.keys()]
     T = float(trajectory.sample_period)
     truth = trajectory.truth
-    columns = [range(n), [i * T for i in range(n)],
-               *([] if truth is None else [truth.tolist()]),
-               trajectory.measurement.tolist(), *(series.tolist() for series in extra.values())]
-    first_extra = len(columns) - len(extra)
-    lead = "%d,%.17g," + ("" if truth is None else "%.17g") + ",%.17g"
-    row_format = lead + ",%.17g" * len(extra) + "\n"
-    filled = (np.isfinite(list(extra.values())).all(axis=0).tolist() if extra
-              else [True] * n)
-
-    def line(row, full: bool) -> str:
-        if full:
-            return row_format % row
-        return lead % row[:first_extra] + "".join(
-            "," + (format(v, ".17g") if math.isfinite(v) else "") for v in row[first_extra:]
-        ) + "\n"
-
+    columns = [
+        [str(i) for i in range(n)],
+        [format(i * T, ".17g") for i in range(n)],
+        [""] * n if truth is None else [format(v, ".17g") for v in truth.tolist()],
+        [format(v, ".17g") for v in trajectory.measurement.tolist()],
+        *([format(v, ".17g") if math.isfinite(v) else ""
+           for v in np.asarray(series, dtype=float).tolist()] for series in extra.values()),
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(map(line, zip(*columns), filled))
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def read_utf8(path, error: type[ValueError]) -> str:

@@ -1,7 +1,7 @@
 """Alternating parent/change pairs of whole ``nnsse run`` processes in two checkouts.
 
     python tests/ab_cli.py PARENT_DIR CHANGE_DIR --config configs/stack_comparison.ini \\
-        [--parallel 2] [--pairs 5]
+        [--parallel 2] [--pairs 10]
 
 Each pair starts one fresh ``python -m nnsse run --config C --parallel P``
 per checkout, with that checkout's ``src`` as the only ``PYTHONPATH`` entry,
@@ -36,7 +36,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from ab_perfbench import SIDES, bytecode_paths, summarize
+from ab_perfbench import SIDES, alternate, check_checkouts, summarize
 
 # The share of the parent's median a change may be slower by and read
 # ``ok``, as for the benchmark's ``run_s``.
@@ -73,35 +73,24 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True,
                         help="a config file, relative to each checkout or absolute")
     parser.add_argument("--parallel", type=int, default=1)
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
     for flag in ("parallel", "pairs"):
         if getattr(args, flag) < 1:
             parser.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    for side, path in checkouts.items():
-        if not (path / "src" / "nnsse").is_dir():
-            parser.error(f"{side} checkout {path} has no src/nnsse")
-    differing = sorted(bytecode_paths(checkouts["parent"]) ^ bytecode_paths(checkouts["change"]))
-    if differing:
-        parser.error(f"the checkouts differ in __pycache__ state, e.g. {differing[0]}; "
-                     f"remove __pycache__ from both")
+    checkouts = check_checkouts(parser, args.parent, args.change, "src/nnsse")
 
-    pairs, outputs, ok = [], set(), True
-    for i in range(args.pairs):
-        pair = {}
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            run = run_side(checkouts[side], args.config, args.parallel)
-            good = run["code"] in REPORTED
-            ok &= good
-            pair[side] = {"metrics": {"wall_s": {"value": run["seconds"]}} if good else {}}
-            if good:
-                outputs.add(tuple(run["csvs"].items()))
-            print(f"pair {i + 1} {side:6s} {run['seconds']:.3f} s exit {run['code']} "
-                  f"{len(run['csvs'])} run CSVs" + ("" if good else f"\n{run['stderr']}"),
-                  flush=True)
-        pairs.append(pair)
+    def run(i: int, side: str, checkout: Path) -> dict:
+        result = run_side(checkout, args.config, args.parallel)
+        ok = result["code"] in REPORTED
+        print(f"pair {i + 1} {side:6s} {result['seconds']:.3f} s exit {result['code']} "
+              f"{len(result['csvs'])} run CSVs" + ("" if ok else f"\n{result['stderr']}"),
+              flush=True)
+        return {"metrics": {"wall_s": {"value": result["seconds"]}} if ok else {},
+                "csvs": tuple(result["csvs"].items()), "ok": ok}
 
+    pairs = alternate(checkouts, args.pairs, run)
+    outputs = {pair[side]["csvs"] for pair in pairs for side in SIDES if pair[side]["ok"]}
     print(f"nnsse run --config {args.config} --parallel {args.parallel}, "
           f"{args.pairs} pairs, wall seconds")
     spec = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": BOUND}]
@@ -115,7 +104,7 @@ def main(argv=None) -> int:
     else:
         verdict = f"match ({len(files)} files)"
     print(f"run CSVs of every run: {verdict}")
-    return 0 if ok else 1
+    return 0 if all(pair[side]["ok"] for pair in pairs for side in SIDES) else 1
 
 
 if __name__ == "__main__":

@@ -47,6 +47,7 @@ import os
 import statistics
 import subprocess
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -73,6 +74,35 @@ def bytecode_paths(checkout: Path) -> set[str]:
     """Relative paths of the ``*.pyc`` files under ``src/`` and ``perfbench/``."""
     return {path.relative_to(checkout).as_posix() for tree in ("src", "perfbench")
             for path in (checkout / tree).rglob("*.pyc")}
+
+
+def check_checkouts(parser: argparse.ArgumentParser, parent: Path, change: Path,
+                    marker: str) -> dict[str, Path]:
+    """The two checkouts by side, resolved.  A parser error (exit 2) if either
+    has no ``marker`` path or their ``__pycache__`` states differ."""
+    checkouts = {"parent": parent.resolve(), "change": change.resolve()}
+    for side, path in checkouts.items():
+        if not (path / marker).exists():
+            parser.error(f"{side} checkout {path} has no {marker}")
+    differing = sorted(bytecode_paths(checkouts["parent"]) ^ bytecode_paths(checkouts["change"]))
+    if differing:
+        parser.error(f"the checkouts differ in __pycache__ state, e.g. {differing[0]}; "
+                     f"remove __pycache__ from both")
+    return checkouts
+
+
+def pair_order(i: int) -> tuple[str, str]:
+    """The sides of pair i in running order: the first side alternates from
+    pair to pair, so that drift of the machine's load falls on both alike."""
+    return SIDES if i % 2 == 0 else SIDES[::-1]
+
+
+def alternate(checkouts: dict[str, Path], pairs: int,
+              run_side: Callable[[int, str, Path], dict]) -> list[dict]:
+    """``{side: run_side(i, side, checkout)}`` for each pair i, its sides run
+    in `pair_order`."""
+    return [{side: run_side(i, side, checkouts[side]) for side in pair_order(i)}
+            for i in range(pairs)]
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -125,10 +155,9 @@ def run_pairs(checkouts: dict[str, Path], workloads: list[str], pairs: int,
     ok = True
     for i in range(pairs):
         seed = first_seed + i
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
         for workload in workloads:
             pair = {}
-            for side in order:
+            for side in pair_order(i):
                 result = pair[side] = run_bench(checkouts[side], workload, seed, seconds)
                 good = result["returncode"] == 0 and result.get("correct") is True
                 ok &= good
@@ -155,14 +184,7 @@ def main(argv=None) -> int:
         parser.error(f"--pairs must be >= 1, got {args.pairs}")
     if len(set(args.workload)) != len(args.workload):
         parser.error(f"--workload names a workload twice: {' '.join(args.workload)}")
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    for side, path in checkouts.items():
-        if not (path / "perfbench" / "run.py").is_file():
-            parser.error(f"{side} checkout {path} has no perfbench/run.py")
-    differing = sorted(bytecode_paths(checkouts["parent"]) ^ bytecode_paths(checkouts["change"]))
-    if differing:
-        parser.error(f"the checkouts differ in __pycache__ state, e.g. {differing[0]}; "
-                     f"remove __pycache__ from both")
+    checkouts = check_checkouts(parser, args.parent, args.change, "perfbench/run.py")
     spec = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     known = [w["name"] for w in spec["workloads"]]
     unknown = [w for w in args.workload if w not in known]

@@ -40,7 +40,7 @@ import sys
 import time
 from pathlib import Path
 
-from ab_perfbench import SIDES, bytecode_paths, summarize
+from ab_perfbench import SIDES, alternate, check_checkouts, summarize
 
 # The share of the parent's median a row may be slower by and read ``ok``,
 # as for the benchmark's per-step metric.
@@ -113,29 +113,18 @@ def main(argv=None) -> int:
             parser.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     if len(set(args.rows)) != len(args.rows):
         parser.error(f"--rows names a row twice: {' '.join(args.rows)}")
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    for side, path in checkouts.items():
-        if not (path / "src" / "nnsse").is_dir():
-            parser.error(f"{side} checkout {path} has no src/nnsse")
-    differing = sorted(bytecode_paths(checkouts["parent"]) ^ bytecode_paths(checkouts["change"]))
-    if differing:
-        parser.error(f"the checkouts differ in __pycache__ state, e.g. {differing[0]}; "
-                     f"remove __pycache__ from both")
+    checkouts = check_checkouts(parser, args.parent, args.change, "src/nnsse")
 
-    pairs, ok = [], True
-    for i in range(args.pairs):
-        pair = {}
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            result = run_side(checkouts[side], args.config, args.rows, args.steps)
-            ok &= "error" not in result
-            rows = result.get("rows", {})
-            pair[side] = {"metrics": {f"step_us.{row}": {"value": r["us"]}
-                                      for row, r in rows.items()},
-                          "hashes": {row: r["hash"] for row, r in rows.items()}}
-            values = " ".join(f"{row}={r['us']:.4g}" for row, r in rows.items())
-            print(f"pair {i + 1} {side:6s} {result.get('error') or values}", flush=True)
-        pairs.append(pair)
+    def run(i: int, side: str, checkout: Path) -> dict:
+        result = run_side(checkout, args.config, args.rows, args.steps)
+        rows = result.get("rows", {})
+        values = " ".join(f"{row}={r['us']:.4g}" for row, r in rows.items())
+        print(f"pair {i + 1} {side:6s} {result.get('error') or values}", flush=True)
+        return {"metrics": {f"step_us.{row}": {"value": r["us"]} for row, r in rows.items()},
+                "hashes": {row: r["hash"] for row, r in rows.items()},
+                "ok": "error" not in result}
 
+    pairs = alternate(checkouts, args.pairs, run)
     print(f"rows of {args.config}, {args.pairs} pairs, {args.steps} steps, "
           f"best of {REPEATS}, us per step")
     specs = [{"name": f"step_us.{row}", "unit": "us", "better": "lower", "bound": BOUND}
@@ -149,7 +138,7 @@ def main(argv=None) -> int:
                   if row in p[side]["hashes"]}
         print(f"{row}: minimum parent {minima['parent']:.4g} change {minima['change']:.4g}; "
               f"forecasts {({0: 'not measured', 1: 'match'}).get(len(hashes), 'DIFFER')}")
-    return 0 if ok else 1
+    return 0 if all(pair[side]["ok"] for pair in pairs for side in SIDES) else 1
 
 
 if __name__ == "__main__":

@@ -674,8 +674,8 @@ def test_run_csvs_are_the_same_bytes_serial_and_parallel(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("parallel", [1, 2])
-def test_run_csv_of_a_row_failing_mid_run_is_written_cell_by_cell(parallel, tmp_path,
-                                                                  capsys):
+def test_run_csv_of_a_row_failing_mid_run_leaves_its_cells_empty(parallel, tmp_path,
+                                                                 capsys):
     from nnsse.config import load_config
 
     # A spike at step 200 overflows the forecasts of every row but UAM-P:
@@ -699,6 +699,44 @@ def test_run_csv_of_a_row_failing_mid_run_is_written_cell_by_cell(parallel, tmp_
                                           for name in ("E2P", "E4PTRW", "NNSSE-EKE")}}
     for run in report.seed_runs:
         assert files[f"run_seed{run.seed}.csv"] == _cellwise_csv(run)
+
+
+@pytest.mark.parametrize("pool", [None, InProcessPool], ids=["serial", "in-process-pool"])
+def test_a_run_a_later_seed_stops_leaves_no_report_of_an_earlier_run(pool, tmp_path,
+                                                                     monkeypatch, capsys):
+    import nnsse.bench
+
+    out = tmp_path / "out"
+    config = tmp_path / "run.ini"
+    config.write_text("[trajectory]\nsteps = 200\n[run]\nseeds = 1 2\nwindows = 0:200\n"
+                      + _roster({"E2P": "stack\nstack = E2P"}), encoding="utf-8")
+    assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 0
+    earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(earlier) == ["report.json", "run_seed1.csv", "run_seed2.csv",
+                               "summary.csv", "table.txt"]
+
+    plain_seed = nnsse.bench.run_single_seed
+
+    def seed_run(config, s, *args):
+        if s == 2:
+            raise KeyboardInterrupt
+        return plain_seed(config, s, *args)
+
+    monkeypatch.setattr(nnsse.bench, "run_single_seed", seed_run)
+    if pool is not None:
+        monkeypatch.setattr(nnsse.bench, "ProcessPoolExecutor", pool)
+    config.write_text(config.read_text(encoding="utf-8").replace("steps = 200", "steps = 250"),
+                      encoding="utf-8")
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--config", str(config), "--out-dir", str(out),
+              "--parallel", "1" if pool is None else "2"])
+    later = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(later) == ["run_seed1.csv", "run_seed2.csv"]
+    assert later["run_seed2.csv"] == earlier["run_seed2.csv"]
+    assert later["run_seed1.csv"] != earlier["run_seed1.csv"]
+    capsys.readouterr()
+    assert main(["report", "--report", str(out)]) == EXIT_CONFIG
+    assert "report.json" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("pool", [None, InProcessPool], ids=["serial", "in-process-pool"])
@@ -903,15 +941,6 @@ def _eigvalsh_every_step(covs):
         asym = max(asym, float(np.abs(cov - cov.T).max()))
         eig = min(eig, float(np.linalg.eigvalsh(cov).min()))
     return asym, eig
-
-
-def test_audit_keeps_the_sign_of_a_zero_minimum_eigenvalue():
-    # eigvalsh gives [0.0, -0.0] here: the ascending order puts +0 first,
-    # the minimum of every step's eigenvalues is -0.
-    for cov in (np.array([[0.0, 0.0], [0.0, -0.0]]), np.diag([-0.0, 0.0, 0.0, 0.0, -0.0, 2.0])):
-        audit = CovarianceAudit()
-        assert audit.update(cov)
-        assert repr(audit.min_eigenvalue) == repr(_eigvalsh_every_step([cov])[1]) == "-0.0"
 
 
 def _near_tie_covariances(n, rng, steps=12):
