@@ -25,18 +25,29 @@ Only the first step and a failed factorisation run ``eigvalsh``.  A P
 handed back right after it was folded in (the frozen covariance of a
 steady-state linear filter) is skipped while its bytes stay the same.
 
+With ``parallel`` above 1, `run_experiment` fans several seeds out over a
+process pool, one seed per task.  A run of one seed splits its roster into
+shares instead: rows are packed longest first by an estimated cost, µs per
+step from the per-kind table `_STEP_US` (fitted to the per-row seconds of a
+serial configs/table1.ini run) times the steps.  The pool runs all shares
+but the lightest, which this process runs once they are submitted, heavy
+rows first.  Every share scores the warmup of the whole roster, and the
+results come back in roster order, bitwise those of a serial run.  The
+split is taken only when the estimated saving pays for the pool's start-up.
+
 The covariance schedule of a linear filter (`SteadyStateLke`) reads no data,
 so the seeds of one `run_experiment` call share it through one module-level
 store, `_schedules`.  The call empties it before its seeds start and again
 when it ends, so forked pool workers inherit it empty, each worker fills its
-own copy, and no schedule outlives the call: every run recomputes its own.
+own copy (a one-seed share too), and no schedule outlives the call: every
+run recomputes its own.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -330,10 +341,9 @@ class CovarianceAudit:
         return True
 
 
-def run_single_seed(config: ExperimentConfig, seed: int, audit: bool = False,
-                    lke_schedules: dict | None = None) -> SeedRun:
-    """Execute the full roster on one seed's trajectory; the linear filters
-    share ``lke_schedules`` (see `SteadyStateLke`) when one is given."""
+def _seed_setup(config: ExperimentConfig, seed: int, lke_schedules: dict | None):
+    """One seed's trajectory, roster runners, warmup and scored window spans;
+    a `ConfigError` if the trajectory is too short for them."""
     traj = config.make_trajectory(seed)
     n = len(traj)
     a = config.horizon
@@ -353,7 +363,17 @@ def run_single_seed(config: ExperimentConfig, seed: int, audit: bool = False,
             raise ConfigError(
                 f"window {(s, e)} has no steps past warmup+horizon ({first_target})")
         spans[f"{s}-{e}"] = (lo, hi)
+    return traj, runners, warmup, spans
 
+
+def run_single_seed(config: ExperimentConfig, seed: int, audit: bool = False,
+                    lke_schedules: dict | None = None) -> SeedRun:
+    """Execute the full roster on one seed's trajectory; the linear filters
+    share ``lke_schedules`` (see `SteadyStateLke`) when one is given."""
+    traj, runners, warmup, spans = _seed_setup(config, seed, lke_schedules)
+    n = len(traj)
+    a = config.horizon
+    first_target = warmup + a
     ref = traj.reference
     z = traj.measurement.tolist()  # runners step on Python floats
     results: dict[str, EstimatorResult] = {}
@@ -422,9 +442,95 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+# Estimated microseconds per step of one row of each kind, a + b s^p for a
+# runner of `Runner.size` s.  Fitted to the per-row seconds of a serial
+# configs/table1.ini run (10 000 steps, one seed; 2 shared vCPUs,
+# OPENBLAS_NUM_THREADS=1): PE 1000 x 52 at 1290, the UKE at n = 37, 62 and
+# 122 at 135, 155 and 415 (its weighted sum at n = 52 runs 110), the EKE at
+# n = 52 at 78, UAM-UKE 47, Accurate-Sin 14 and UAM-LKE 5; the stacks from
+# perfbench's `stacks` step times.  `--audit` is not counted.  Only the
+# ratios and the saving against _POOL_START_S matter.
+_STEP_US = {
+    "uam_lke": (5.0, 0.0, 0),
+    "uam_uke": (47.0, 0.0, 0),
+    "sine_lke": (14.0, 0.0, 0),
+    "nnsse_uke": (127.0, 1.6e-4, 3),
+    "nnsse_eke": (0.0, 0.029, 2),
+    "nnsse_pe": (0.0, 0.0248, 1),
+    "stack": (3.0, 0.0, 0),
+    "e4ptrw": (25.0, 0.0, 0),
+}
+# Start-up charged per pool worker, in seconds: importing the pool's
+# modules, forking, handing a result back and shutting down took 30-45 ms
+# for the first pool of a process and 9 ms for a later one (same host).
+_POOL_START_S = 0.04
+
+
+def _pack_longest_first(costs: list[float], k: int) -> list[tuple[float, list[int]]]:
+    """(load, row indices) of k shares, lightest first: each row, in order of
+    falling cost (ties in roster order), joins the share with the least load
+    so far (LPT; Graham, SIAM J. Appl. Math. 1969)."""
+    shares = [(0.0, []) for _ in range(k)]
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        j = min(range(k), key=lambda j: shares[j][0])
+        shares[j] = (shares[j][0] + costs[i], shares[j][1] + [i])
+    return sorted(shares, key=lambda share: share[0])
+
+
+def _split_roster(config: ExperimentConfig, seed: int,
+                  parallel: int) -> tuple[int, list[list[EstimatorSpec]]]:
+    """The warmup of the seed's whole roster and the roster split into
+    k = min(parallel, rows) shares, lightest first, each in order of falling
+    estimated cost; one share, the roster, when the estimated saving over a
+    serial run does not pay for the k - 1 workers' start-up."""
+    traj, runners, warmup, _ = _seed_setup(config, seed, None)
+    costs = []
+    for spec, runner in zip(config.estimators, runners):
+        a, b, p = _STEP_US[spec.kind.strip().lower()]
+        costs.append(1e-6 * (a + b * runner.size ** p) * len(traj))
+    k = min(parallel, len(costs))
+    shares = _pack_longest_first(costs, k)
+    if sum(costs) - shares[-1][0] <= _POOL_START_S * (k - 1):
+        return warmup, [config.estimators]
+    return warmup, [[config.estimators[i] for i in rows] for _, rows in shares]
+
+
+def _run_split(config: ExperimentConfig, seed: int, audit: bool, parallel: int) -> SeedRun:
+    """One seed's roster in the shares of `_split_roster`: all but the first
+    on a pool, then the first in this process.  Every share scores the whole
+    roster's warmup.  The results are folded into the first pool share's
+    `SeedRun`, in roster order."""
+    warmup, shares = _split_roster(config, seed, parallel)
+    if len(shares) == 1:
+        return run_single_seed(config, seed, audit, _schedules)
+    own, *others = [(replace(config, estimators=share, warmup=warmup), seed, audit)
+                    for share in shares]
+    from .bench import ProcessPoolExecutor  # through __getattr__ or a patch
+    with ProcessPoolExecutor(max_workers=len(others)) as pool:
+        pending = pool.map(_seed_worker, others)
+        mine = run_single_seed(*own, _schedules)
+        run, *rest = pending
+    for part in (*rest, mine):
+        run.results.update(part.results)
+    run.order = [e.name for e in config.estimators]
+    run.results = {name: run.results[name] for name in run.order}
+    return run
+
+
 def run_experiment(config: ExperimentConfig, audit: bool = False,
                    parallel: int = 1, on_seed=None) -> RunReport:
-    """Run every (seed, estimator) pair, seeds on up to `parallel` processes.
+    """Run every (seed, estimator) pair on up to `parallel` processes.
+
+    Several seeds fan out over a pool of up to one worker per seed.  One
+    seed's roster is split into k = min(parallel, rows) shares instead
+    (`_split_roster`): rows are packed longest first by their estimated
+    seconds, the per-kind µs per step of `_STEP_US` times the steps.  The
+    k - 1 heavier shares go to a pool of k - 1 workers; this process runs
+    the lightest once they are submitted, heavy rows first, and folds its
+    results into the first worker's `SeedRun`, in roster order.  The split
+    is taken only when the estimated saving pays for the workers' start-up
+    (`_POOL_START_S` each).  Every share scores the warmup of the whole
+    roster, so results are bitwise those of a serial run.
 
     ``on_seed``, when given, is called in this process with each `SeedRun`,
     in seed order, as soon as that seed and every earlier one are done: the
@@ -450,6 +556,8 @@ def run_experiment(config: ExperimentConfig, audit: bool = False,
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 for run in pool.map(_seed_worker, jobs):
                     done(run)
+        elif parallel > 1:  # one seed
+            done(_run_split(config, config.seeds[0], audit, parallel))
         else:
             for job in jobs:
                 done(run_single_seed(*job, _schedules))

@@ -48,10 +48,16 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out-dir", type=Path, default=Path("report"))
     run.add_argument("--format", choices=("table", "csv"), default="table")
     run.add_argument("--parallel", type=int, default=1,
-                     help="number of seed runs to execute concurrently; each "
-                          "seed's run CSV is written as soon as it and every "
-                          "earlier seed are done, and report.json, summary.csv "
-                          "and table.txt once all are (a run that stops early "
+                     help="number of processes to run on: several seeds run "
+                          "concurrently, one per process; a single seed's "
+                          "estimator rows are split into up to this many "
+                          "shares, longest rows first, one run here and the "
+                          "others in worker processes, when the estimated "
+                          "saving pays for starting them (outputs are the "
+                          "same bytes as a serial run); each seed's run CSV "
+                          "is written as soon as it and every earlier seed "
+                          "are done, and report.json, summary.csv and "
+                          "table.txt once all are (a run that stops early "
                           "leaves its run CSVs and none of these)")
     run.add_argument("--audit", action="store_true",
                      help="check every step's covariance P: report the largest "

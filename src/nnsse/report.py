@@ -26,8 +26,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .bench import RunReport, SeedRun
 from .runners import ConfigError
 from .signals import read_utf8, save_trajectory
@@ -116,6 +114,18 @@ def _render_block(title: str, order: list[str], rows: dict[str, dict],
     return lines
 
 
+def _median(values: list[float]) -> float:
+    """Median of a non-empty list.  Of an even count the two middle values
+    are halved and then added, which is exact in the normal range and so
+    equals their rounded mean, and stays finite for two values above half
+    the largest float, whose sum overflows."""
+    values = sorted(values)
+    mid = len(values) // 2
+    if len(values) % 2:
+        return values[mid]
+    return values[mid - 1] / 2 + values[mid] / 2
+
+
 def render_table(data: dict) -> str:
     """Aligned text table: one block per seed, plus a median block."""
     labels = _window_labels(data)
@@ -140,9 +150,8 @@ def render_table(data: dict) -> str:
                         if e["estimators"][n]["failure"] is None
                         and lbl in e["estimators"][n]["windows"]]
                 if vals:
-                    per_window[lbl] = float(np.median(vals))
-            seconds = float(np.median([e["estimators"][n]["seconds"]
-                                       for e in data["results"]]))
+                    per_window[lbl] = _median(vals)
+            seconds = _median([e["estimators"][n]["seconds"] for e in data["results"]])
             failures = [e["estimators"][n]["failure"] for e in data["results"]]
             med_rows[n] = {"windows": per_window, "seconds": seconds,
                            "failure": next((f for f in failures if f), None)}

@@ -56,11 +56,16 @@ def estimator_rng(run_seed: int, name: str) -> np.random.Generator:
 
 
 class Runner:
-    """Base runner: feed measurements, collect horizon-step forecasts."""
+    """Base runner: feed measurements, collect horizon-step forecasts.
 
-    def __init__(self, name: str, warmup_hint: int = 1):
+    ``size`` is the number of state entries a step carries: the state
+    dimension n, or particles x n for a particle cloud.  `bench` estimates a
+    row's step cost from it."""
+
+    def __init__(self, name: str, warmup_hint: int = 1, size: int = 1):
         self.name = name
         self.warmup_hint = warmup_hint
+        self.size = size
 
     def step(self, z: float) -> float:
         raise NotImplementedError
@@ -85,8 +90,8 @@ class FilterRunner(Runner):
     one-step prediction.
     """
 
-    def __init__(self, name, init_fn, step_fn, forecast_fn, warmup_hint):
-        super().__init__(name, warmup_hint)
+    def __init__(self, name, init_fn, step_fn, forecast_fn, warmup_hint, size):
+        super().__init__(name, warmup_hint, size)
         self.init_fn = init_fn
         self.step_fn = step_fn
         self.forecast_fn = forecast_fn
@@ -157,7 +162,7 @@ def _open_loop_runner(name, stack: StackModel, step_fn, horizon: int,
     return FilterRunner(
         name, lambda z: step_fn(StackWindow(np.zeros(stack.k)), z)[0], step_fn,
         lambda state: state.window[0] if state.prediction is None else ahead(state.prediction),
-        warmup_hint)
+        warmup_hint, stack.k)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +202,8 @@ def _uam_runner(name, kind, p, ctx: RunContext) -> Runner:
         step_fn = partial(uke_step, m, noise, params=_uke_params(p, m.order))
     rest = np.zeros(m.order - 1)  # the derivatives start at zero
     return FilterRunner(name, lambda z: GaussianBelief(np.concatenate([[z], rest]), noise.Pi0),
-                        step_fn, lambda belief: multi_step_predict(m, belief.mean, a), m.order)
+                        step_fn, lambda belief: multi_step_predict(m, belief.mean, a), m.order,
+                        m.order)
 
 
 def _sine_runner(name, kind, p, ctx: RunContext) -> Runner:
@@ -207,7 +213,7 @@ def _sine_runner(name, kind, p, ctx: RunContext) -> Runner:
     forecast = m.forecaster(ctx.horizon)
     return FilterRunner(name, lambda z: GaussianBelief(np.array([z, 0.0]), noise.Pi0),
                         SteadyStateLke(m.F, noise, ctx.lke_schedules),
-                        lambda belief: forecast(belief.mean), 2)
+                        lambda belief: forecast(belief.mean), 2, 2)
 
 
 def _uke_params(p, n: int) -> UkeParams:
@@ -283,14 +289,14 @@ def _nnsse_runner(name, kind, p, ctx: RunContext) -> Runner:
             return cloud.weights @ nnmodel.predict_ahead_batch(top, cloud.particles)
 
         return FilterRunner(name, cloud_at, partial(pe_step, top, noise, rng=rng), forecast,
-                            top.input_width)
+                            top.input_width, count * top.state_dim)
     if kind == "nnsse_uke":
         step_fn = partial(uke_step, top, noise, params=_uke_params(p, top.state_dim))
     else:
         step_fn = partial(eke_step, top, noise)
     return FilterRunner(name, lambda z: GaussianBelief(mean_at(z), noise.Pi0), step_fn,
                         lambda belief: nnmodel.predict_ahead_batch(top, belief.mean[None])[0],
-                        top.input_width)
+                        top.input_width, top.state_dim)
 
 
 def _stack_runner(name, kind, p, ctx: RunContext) -> Runner:
@@ -313,7 +319,7 @@ def _stack_runner(name, kind, p, ctx: RunContext) -> Runner:
     forecast = stack.forecaster(a)
     return FilterRunner(name, lambda z: GaussianBelief(np.full(k, z), noise.Pi0),
                         SteadyStateLke(stack.F, noise, ctx.lke_schedules),
-                        lambda belief: forecast(belief.mean), k)
+                        lambda belief: forecast(belief.mean), k, k)
 
 
 def _e4ptrw_runner(name, kind, p, ctx: RunContext) -> Runner:

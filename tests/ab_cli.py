@@ -1,10 +1,11 @@
 """Alternating parent/change pairs of whole ``nnsse run`` processes in two checkouts.
 
     python tests/ab_cli.py PARENT_DIR CHANGE_DIR --config configs/stack_comparison.ini \\
-        [--parallel 2] [--pairs 10]
+        [--parallel 2] [--seed 1] [--pairs 10]
 
 Each pair starts one fresh ``python -m nnsse run --config C --parallel P``
-per checkout, with that checkout's ``src`` as the only ``PYTHONPATH`` entry,
+per checkout, with ``--seed N`` when given (that one seed in place of the
+config's list), that checkout's ``src`` as the only ``PYTHONPATH`` entry,
 its own directory as working directory (a relative ``--config`` names each
 checkout's own copy), ``OPENBLAS_NUM_THREADS=1`` and a private output
 directory, removed once its run CSVs are read.  The side that runs first
@@ -45,9 +46,9 @@ BOUND = 0.25
 REPORTED = (0, 2)
 
 
-def run_side(checkout: Path, config: str, parallel: int) -> dict:
-    """One ``nnsse run`` in ``checkout``: its wall seconds, exit code and the
-    sha256 of each run CSV it wrote."""
+def run_side(checkout: Path, config: str, parallel: int, seed: int | None = None) -> dict:
+    """One ``nnsse run`` in ``checkout``, of ``seed`` alone when given: its
+    wall seconds, exit code and the sha256 of each run CSV it wrote."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1",
                OPENBLAS_NUM_THREADS="1")
     out = Path(tempfile.mkdtemp(prefix="ab_cli-"))
@@ -55,7 +56,8 @@ def run_side(checkout: Path, config: str, parallel: int) -> dict:
         start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "nnsse", "run", "--config", config, "--parallel",
-             str(parallel), "--out-dir", str(out / "report")],
+             str(parallel), "--out-dir", str(out / "report"),
+             *([] if seed is None else ["--seed", str(seed)])],
             cwd=checkout, env=env, capture_output=True, text=True, check=False)
         seconds = time.perf_counter() - start
         csvs = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -73,6 +75,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True,
                         help="a config file, relative to each checkout or absolute")
     parser.add_argument("--parallel", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=None,
+                        help="run this one seed in place of the config's seeds")
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
     for flag in ("parallel", "pairs"):
@@ -81,7 +85,7 @@ def main(argv=None) -> int:
     checkouts = check_checkouts(parser, args.parent, args.change, "src/nnsse")
 
     def run(i: int, side: str, checkout: Path) -> dict:
-        result = run_side(checkout, args.config, args.parallel)
+        result = run_side(checkout, args.config, args.parallel, args.seed)
         ok = result["code"] in REPORTED
         print(f"pair {i + 1} {side:6s} {result['seconds']:.3f} s exit {result['code']} "
               f"{len(result['csvs'])} run CSVs" + ("" if ok else f"\n{result['stderr']}"),
@@ -91,7 +95,8 @@ def main(argv=None) -> int:
 
     pairs = alternate(checkouts, args.pairs, run)
     outputs = {pair[side]["csvs"] for pair in pairs for side in SIDES if pair[side]["ok"]}
-    print(f"nnsse run --config {args.config} --parallel {args.parallel}, "
+    seed = "" if args.seed is None else f" --seed {args.seed}"
+    print(f"nnsse run --config {args.config} --parallel {args.parallel}{seed}, "
           f"{args.pairs} pairs, wall seconds")
     spec = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": BOUND}]
     print("\n".join(summarize(spec, pairs)))

@@ -73,6 +73,26 @@ def test_sides_alternate_in_private_out_dirs(monkeypatch, tmp_path, capsys):
     assert out[9] == "run CSVs of every run: match (2 files)"
 
 
+def test_seed_is_passed_to_every_run(monkeypatch, tmp_path, capsys):
+    calls = _stub_children(monkeypatch, SECONDS, csvs={side: {"run_seed1.csv": "a"}
+                                                       for side in ab_cli.SIDES})
+    checkouts = _checkouts(tmp_path)
+    assert ab_cli.main([*checkouts, *ARGS, "--parallel", "2", "--seed", "1",
+                        "--pairs", "2"]) == 0
+    assert len(calls) == 4
+    for side, cwd, env, cmd in calls:
+        assert cmd[1:8] == ["-m", "nnsse", "run", "--config", "configs/stack_comparison.ini",
+                            "--parallel", "2"]
+        assert cmd[-2:] == ["--seed", "1"] and cmd.count("--seed") == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[4] == ("nnsse run --config configs/stack_comparison.ini --parallel 2 --seed 1, "
+                      "2 pairs, wall seconds")
+    assert out[-1] == "run CSVs of every run: match (1 files)"
+    calls.clear()
+    assert ab_cli.main([*checkouts, *ARGS, "--pairs", "1"]) == 0
+    assert len(calls) == 2 and all("--seed" not in cmd for *_, cmd in calls)
+
+
 def test_a_run_csv_mismatch_is_reported_not_refused(monkeypatch, tmp_path, capsys):
     csvs = {"change": {"run_seed1.csv": "a", "run_seed2.csv": "other"}}
     _stub_children(monkeypatch, SECONDS, csvs=csvs)

@@ -222,7 +222,11 @@ def test_runs_are_deterministic_across_calls():
                                       b.results[name].predictions)
 
 
-def test_parallel_seed_execution_matches_sequential():
+def test_parallel_seed_execution_matches_sequential(tmp_path, capsys, monkeypatch):
+    import nnsse.bench
+    from concurrent.futures import ProcessPoolExecutor
+    from nnsse.config import load_config
+
     # The network rows draw their initial weights, and the PE its first cloud
     # and every step's noise, from the estimator's own stream.
     spec = [EstimatorSpec("E4P", "stack", {"stack": "E4P"}),
@@ -242,8 +246,65 @@ def test_parallel_seed_execution_matches_sequential():
             assert (rs.results[s.name].predictions.tobytes()
                     == rp.results[s.name].predictions.tobytes()), s.name
 
+    # One seed: its roster is split between this process and a worker.  Only
+    # NNSSE-UKE's input window (25) sets the warmup, which the other share
+    # must score too.  The spike at step 300 stops every row but UAM-P and
+    # E2P-LKE, so each share holds a row that fails mid-run and one that
+    # keeps its window totals.
+    _write_spike(tmp_path / "spike.csv", 600, 300)
+    rows = {"NNSSE-UKE": "nnsse_uke", "NNSSE-5-5-1": "nnsse_uke\nnetwork = 5-5-1",
+            "NNSSE-EKE": "nnsse_eke\nnetwork = 5-5-1", "UAM-P": "uam_lke\norder = 1",
+            "E2P": "stack\nstack = E2P", "E2P-LKE": "stack\nstack = E2P\nmode = lke",
+            "E4PTRW": "e4ptrw"}
+    config = tmp_path / "one_seed.ini"
+    config.write_text(f"[trajectory]\nsource = file\npath = {tmp_path / 'spike.csv'}\n"
+                      "[run]\nwindows = 0:300\n" + _roster(rows), encoding="utf-8")
+    cfg = load_config(config)
+    warmup, shares = nnsse.bench._split_roster(cfg, 1, 2)
+    serial = run_experiment(cfg).seed_runs[0]
+    failed = {name for name, res in serial.results.items() if res.failure}
+    assert warmup == serial.warmup == 25 and len(shares) == 2
+    assert failed == set(rows) - {"UAM-P", "E2P-LKE"}
+    assert all(failed & names and names - failed
+               for names in ({row.name for row in share} for share in shares))
+    pools = []
 
-def test_worker_pool_is_capped_at_the_seed_count(monkeypatch):
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(nnsse.bench, "ProcessPoolExecutor", RecordingPool)
+    seen = []
+    split = run_experiment(cfg, parallel=2, on_seed=seen.append).seed_runs
+    assert pools == [1] and seen == split
+    assert split[0].order == serial.order == list(rows)
+    assert list(split[0].results) == list(rows) and split[0].warmup == 25
+    for name in rows:
+        rs, rp = serial.results[name], split[0].results[name]
+        assert rs.predictions.tobytes() == rp.predictions.tobytes(), name
+        assert rs.errors.tobytes() == rp.errors.tobytes(), name
+        assert (rs.window_errors, rs.failure) == (rp.window_errors, rp.failure), name
+    files = {}
+    for parallel in (1, 2):
+        code, files[parallel] = _run_files(config, tmp_path / f"out{parallel}", parallel,
+                                           capsys)
+        assert code == EXIT_ESTIMATOR_FAILURE
+    assert files[1] == files[2] and list(files[1]) == ["run_seed1.csv"]
+    assert pools == [1, 1]
+
+    # Too short for the whole roster's warmup: the same error, before any pool.
+    short = sine_config(cfg.estimators, steps=27, windows=((0, 27),))
+    messages = []
+    for parallel in (1, 2):
+        with pytest.raises(ConfigError) as refused:
+            run_experiment(short, parallel=parallel)
+        messages.append(str(refused.value))
+    assert messages == ["trajectory too short (27 steps) for warmup 25 + horizon 3"] * 2
+    assert pools == [1, 1]
+
+
+def test_worker_pool_is_capped_at_the_seeds_or_the_gated_shares(monkeypatch):
     requested = []
 
     class RecordingExecutor:
@@ -262,11 +323,39 @@ def test_worker_pool_is_capped_at_the_seed_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr("nnsse.bench.ProcessPoolExecutor", RecordingExecutor)
-    spec = [EstimatorSpec("E2P", "stack", {"stack": "E2P"})]
-    two = sine_config(spec, steps=200, windows=((0, 200),), seeds=(1, 2))
+    cheap = [EstimatorSpec("E2P", "stack", {"stack": "E2P"}),
+             EstimatorSpec("UAM-P", "uam_lke", {"order": "1"}),
+             EstimatorSpec("E4PTRW", "e4ptrw", {})]
+    # A multi-seed run fans out seeds, at most one worker per seed.
+    two = sine_config(cheap, steps=200, windows=((0, 200),), seeds=(1, 2))
     assert [r.seed for r in run_experiment(two, parallel=8).seed_runs] == [1, 2]
-    run_experiment(sine_config(spec, steps=200, windows=((0, 200),)), parallel=8)
     assert requested == [2]
+    # One cheap seed: a split would save less than the pool costs to start.
+    run_experiment(sine_config(cheap, steps=400, windows=((0, 400),)), parallel=8)
+    assert requested == [2]
+    # One heavy seed: k = min(parallel, rows) = 3 shares, two on the pool.
+    heavy = [EstimatorSpec(f"UKE{i}", "nnsse_uke", {}) for i in (1, 2, 3)]
+    cfg = sine_config(heavy, steps=600, windows=((0, 600),))
+    seen = []
+    split = run_experiment(cfg, parallel=8, on_seed=seen.append).seed_runs
+    assert requested == [2, 2] and seen == split
+    serial = run_experiment(cfg).seed_runs[0]
+    assert split[0].order == list(split[0].results) == ["UKE1", "UKE2", "UKE3"]
+    for name in split[0].order:
+        assert (split[0].results[name].predictions.tobytes()
+                == serial.results[name].predictions.tobytes()), name
+    # Two heavy rows on parallel 2: one worker.
+    run_experiment(sine_config(heavy[:2], steps=600, windows=((0, 600),)), parallel=2)
+    assert requested == [2, 2, 1]
+
+
+def test_rows_are_packed_longest_first_into_shares_lightest_first():
+    from nnsse.bench import _pack_longest_first
+
+    # 7 -> A, 5 -> B, 4 -> B, the first 3 -> A, the second 3 -> B, 1 -> A
+    assert _pack_longest_first([3.0, 7.0, 1.0, 5.0, 3.0, 4.0], 2) == [
+        (11.0, [1, 0, 2]), (12.0, [3, 5, 4])]
+    assert _pack_longest_first([2.0, 2.0], 3) == [(0.0, []), (2.0, [0]), (2.0, [1])]
 
 
 class InProcessPool:
@@ -673,6 +762,14 @@ def test_run_csvs_are_the_same_bytes_serial_and_parallel(tmp_path, capsys):
     assert sorted(files[1]) == sorted(files[2]) == [f"run_seed{s}.csv" for s in (1, 2, 3)]
 
 
+def _write_spike(path, steps, at):
+    """A recorded noisy sine without truth whose step ``at`` reads 5e307."""
+    sine = gen_sine(10.0, 1.0, 200.0, steps, 1.0, seed=1)
+    z = sine.measurement.copy()
+    z[at] = 5e307
+    save_trajectory(path, Trajectory(sine.sample_period, z))
+
+
 @pytest.mark.parametrize("parallel", [1, 2])
 def test_run_csv_of_a_row_failing_mid_run_leaves_its_cells_empty(parallel, tmp_path,
                                                                  capsys):
@@ -681,10 +778,7 @@ def test_run_csv_of_a_row_failing_mid_run_leaves_its_cells_empty(parallel, tmp_p
     # A spike at step 200 overflows the forecasts of every row but UAM-P:
     # their cells are empty from there on, and the first steps of every
     # row have no forecast or no error yet.  The window ends before the spike.
-    sine = gen_sine(10.0, 1.0, 200.0, 400, 1.0, seed=1)
-    z = sine.measurement.copy()
-    z[200] = 5e307
-    save_trajectory(tmp_path / "spike.csv", Trajectory(sine.sample_period, z))
+    _write_spike(tmp_path / "spike.csv", 400, 200)
     rows = {"UAM-P": "uam_lke\norder = 1", "E2P": "stack\nstack = E2P",
             "E4PTRW": "e4ptrw", "NNSSE-EKE": "nnsse_eke"}
     config = tmp_path / "run.ini"
@@ -699,6 +793,38 @@ def test_run_csv_of_a_row_failing_mid_run_leaves_its_cells_empty(parallel, tmp_p
                                           for name in ("E2P", "E4PTRW", "NNSSE-EKE")}}
     for run in report.seed_runs:
         assert files[f"run_seed{run.seed}.csv"] == _cellwise_csv(run)
+
+
+def test_median_of_two_totals_near_the_largest_float_stays_finite(tmp_path):
+    # UAM-P follows the spike and keeps finite totals above 9e307 on both
+    # seeds of the replay, whose sum overflows.
+    _write_spike(tmp_path / "spike.csv", 400, 200)
+    config = tmp_path / "run.ini"
+    config.write_text(f"[trajectory]\nsource = file\npath = {tmp_path / 'spike.csv'}\n"
+                      "[run]\nseeds = 1 2\nwindows = 0:400\n"
+                      + _roster({"UAM-P": "uam_lke\norder = 1"}), encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-m", "nnsse", "run", "--config", str(config),
+                           "--out-dir", str(tmp_path / "out")], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    totals = [entry["estimators"]["UAM-P"]["windows"]["0-400"] for entry in report["results"]]
+    assert totals[0] == totals[1] > 9e307 and math.isinf(totals[0] + totals[1])
+    table = (tmp_path / "out" / "table.txt").read_text(encoding="utf-8").splitlines()
+    median_row = table[table.index("median over seeds 1, 2") + 3]
+    assert median_row.split()[1] == f"{totals[0] / 1e4:.4f}"
+
+
+def test_median_equals_numpy_median_on_ordinary_totals():
+    from nnsse.report import _median
+
+    rng = np.random.default_rng(7)
+    for count in range(1, 9):
+        for _ in range(50):
+            values = (rng.standard_normal(count) * 10.0 ** rng.integers(-5, 12)).tolist()
+            assert _median(values) == float(np.median(values)), values
 
 
 @pytest.mark.parametrize("pool", [None, InProcessPool], ids=["serial", "in-process-pool"])
