@@ -25,29 +25,30 @@ Only the first step and a failed factorisation run ``eigvalsh``.  A P
 handed back right after it was folded in (the frozen covariance of a
 steady-state linear filter) is skipped while its bytes stay the same.
 
-With ``parallel`` above 1, `run_experiment` fans several seeds out over a
-process pool, one seed per task.  A run of one seed splits its roster into
-shares instead: rows are packed longest first by an estimated cost, µs per
-step from the per-kind table `_STEP_US` (fitted to the per-row seconds of a
-serial configs/table1.ini run) times the steps.  The pool runs all shares
-but the lightest, which this process runs once they are submitted, heavy
-rows first.  Every share scores the warmup of the whole roster, and the
-results come back in roster order, bitwise those of a serial run.  The
-split is taken only when the estimated saving pays for the pool's start-up.
+With ``parallel`` above 1, `run_experiment` sets every seed up here first
+(`_seed_setup`), so a trajectory too short for the warmup fails before any
+pool starts.  The (seed, row) items of all seeds are packed longest first,
+by µs per step (`_STEP_US`) times steps, into k = min(parallel, items)
+shares.  This process runs the lightest; k - 1 forked workers, which
+inherit the set-ups, run the others, unless the estimated saving does not
+pay for their start-up.  Every part scores its seed's whole-roster warmup; the
+parts merge in roster order, bitwise a serial run.
 
 The covariance schedule of a linear filter (`SteadyStateLke`) reads no data,
 so the seeds of one `run_experiment` call share it through one module-level
-store, `_schedules`.  The call empties it before its seeds start and again
-when it ends, so forked pool workers inherit it empty, each worker fills its
-own copy (a one-seed share too), and no schedule outlives the call: every
-run recomputes its own.
+store, `_schedules`.  The call empties it before its seeds are set up and
+again when it ends, so forked pool workers inherit it empty, each process
+fills its own copy, and no schedule outlives the call: every run recomputes
+its own.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
-from dataclasses import dataclass, field, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -367,10 +368,15 @@ def _seed_setup(config: ExperimentConfig, seed: int, lke_schedules: dict | None)
 
 
 def run_single_seed(config: ExperimentConfig, seed: int, audit: bool = False,
-                    lke_schedules: dict | None = None) -> SeedRun:
+                    lke_schedules: dict | None = None, rows: list[int] | None = None,
+                    setup: tuple | None = None) -> SeedRun:
     """Execute the full roster on one seed's trajectory; the linear filters
-    share ``lke_schedules`` (see `SteadyStateLke`) when one is given."""
-    traj, runners, warmup, spans = _seed_setup(config, seed, lke_schedules)
+    share ``lke_schedules`` (see `SteadyStateLke`) when one is given.  With
+    ``setup``, the seed's `_seed_setup` result, run its runners instead of
+    building new ones; with ``rows``, only those roster indices, in order."""
+    traj, runners, warmup, spans = setup or _seed_setup(config, seed, lke_schedules)
+    if rows is not None:
+        runners = [runners[i] for i in rows]
     n = len(traj)
     a = config.horizon
     first_target = warmup + a
@@ -424,13 +430,16 @@ def run_single_seed(config: ExperimentConfig, seed: int, audit: bool = False,
     return SeedRun(seed, traj, [r.name for r in runners], a, warmup, results)
 
 
-# The schedules shared by the seeds of one `run_experiment` call (see the
-# module doc).  Pool tasks reach them only through module state.
+# What forked pool jobs inherit from a `run_experiment` call, emptied when it
+# ends: the schedules its seeds share, and its config, audit flag and set-ups.
 _schedules: dict = {}
+_plan: dict = {}
 
 
-def _seed_worker(args):
-    return run_single_seed(*args, _schedules)
+def _seed_worker(job):
+    seed, rows = job
+    return run_single_seed(_plan["config"], seed, _plan["audit"], _schedules, rows,
+                           _plan["setups"][seed])
 
 
 def __getattr__(name):
@@ -443,13 +452,14 @@ def __getattr__(name):
 
 
 # Estimated microseconds per step of one row of each kind, a + b s^p for a
-# runner of `Runner.size` s.  Fitted to the per-row seconds of a serial
-# configs/table1.ini run (10 000 steps, one seed; 2 shared vCPUs,
-# OPENBLAS_NUM_THREADS=1): PE 1000 x 52 at 1290, the UKE at n = 37, 62 and
-# 122 at 135, 155 and 415 (its weighted sum at n = 52 runs 110), the EKE at
-# n = 52 at 78, UAM-UKE 47, Accurate-Sin 14 and UAM-LKE 5; the stacks from
-# perfbench's `stacks` step times.  `--audit` is not counted.  Only the
-# ratios and the saving against _POOL_START_S matter.
+# runner of `Runner.size` s.  Fitted to a serial configs/table1.ini run
+# (10 000 steps, one seed; 2 shared vCPUs, OPENBLAS_NUM_THREADS=1): PE
+# 1000 x 52 at 1290, the UKE at n = 37, 62 and 122 at 135, 155 and 415 (its
+# weighted sum at n = 52 runs 110), the EKE at n = 52 at 78, UAM-UKE 47,
+# Accurate-Sin 14, UAM-LKE 5; the stacks from perfbench's `stacks`.  Only the
+# ratios and the saving against _POOL_START_S matter.  `--audit` (~45 us per
+# step on each NN row) is left out: it does not change perfbench's
+# `replay_audit` packing, {NNSSE-UKE, UAM-LKE} and {NNSSE-5-5-1, NNSSE-EKE}.
 _STEP_US = {
     "uam_lke": (5.0, 0.0, 0),
     "uam_uke": (47.0, 0.0, 0),
@@ -467,9 +477,9 @@ _POOL_START_S = 0.04
 
 
 def _pack_longest_first(costs: list[float], k: int) -> list[tuple[float, list[int]]]:
-    """(load, row indices) of k shares, lightest first: each row, in order of
-    falling cost (ties in roster order), joins the share with the least load
-    so far (LPT; Graham, SIAM J. Appl. Math. 1969)."""
+    """(load, item indices) of k shares, lightest first: each item, in order
+    of falling cost (ties in item order), joins the share with the least
+    load so far (LPT; Graham, SIAM J. Appl. Math. 1969)."""
     shares = [(0.0, []) for _ in range(k)]
     for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
         j = min(range(k), key=lambda j: shares[j][0])
@@ -477,71 +487,64 @@ def _pack_longest_first(costs: list[float], k: int) -> list[tuple[float, list[in
     return sorted(shares, key=lambda share: share[0])
 
 
-def _split_roster(config: ExperimentConfig, seed: int,
-                  parallel: int) -> tuple[int, list[list[EstimatorSpec]]]:
-    """The warmup of the seed's whole roster and the roster split into
-    k = min(parallel, rows) shares, lightest first, each in order of falling
-    estimated cost; one share, the roster, when the estimated saving over a
-    serial run does not pay for the k - 1 workers' start-up."""
-    traj, runners, warmup, _ = _seed_setup(config, seed, None)
-    costs = []
-    for spec, runner in zip(config.estimators, runners):
-        a, b, p = _STEP_US[spec.kind.strip().lower()]
-        costs.append(1e-6 * (a + b * runner.size ** p) * len(traj))
+def _run_plan(config: ExperimentConfig, audit: bool, parallel: int, done) -> None:
+    """Every seed's rows on the plan of the module doc; see `run_experiment`."""
+    setups = {seed: _seed_setup(config, seed, _schedules) for seed in config.seeds}
+    _plan.update(config=config, audit=audit, setups=setups)
+    costs, r = [], len(config.estimators)
+    for traj, runners, _, _ in setups.values():
+        for spec, runner in zip(config.estimators, runners):
+            a, b, p = _STEP_US[spec.kind.strip().lower()]
+            costs.append(1e-6 * (a + b * runner.size ** p) * len(traj))
     k = min(parallel, len(costs))
     shares = _pack_longest_first(costs, k)
     if sum(costs) - shares[-1][0] <= _POOL_START_S * (k - 1):
-        return warmup, [config.estimators]
-    return warmup, [[config.estimators[i] for i in rows] for _, rows in shares]
+        shares = [(0.0, list(range(len(costs))))]  # every item here, in roster order
+    # Item j is row j % r of seed j // r; a job is one seed's rows in a share.
+    own, *others = [[(seed, rows) for s, seed in enumerate(config.seeds)
+                     if (rows := [j % r for j in share if j // r == s])]
+                    for _, share in shares]
+    pooled = [job for seed in config.seeds for jobs in others for job in jobs if job[0] == seed]
+    parts, waiting = {seed: [] for seed in config.seeds}, list(config.seeds)
 
+    def collect(seed: int, part: SeedRun) -> None:
+        parts[seed].append(part)
+        while waiting and len(parts[w := waiting[0]]) == sum(s == w for s, _ in own + pooled):
+            # Fold into the last part, a worker's when any: what it attached stays.
+            *rest, run = parts.pop(waiting.pop(0))
+            merged = {name: res for each in (*rest, run) for name, res in each.results.items()}
+            run.order = [e.name for e in config.estimators]
+            run.results = {name: merged[name] for name in run.order}
+            done(run)
 
-def _run_split(config: ExperimentConfig, seed: int, audit: bool, parallel: int) -> SeedRun:
-    """One seed's roster in the shares of `_split_roster`: all but the first
-    on a pool, then the first in this process.  Every share scores the whole
-    roster's warmup.  The results are folded into the first pool share's
-    `SeedRun`, in roster order."""
-    warmup, shares = _split_roster(config, seed, parallel)
-    if len(shares) == 1:
-        return run_single_seed(config, seed, audit, _schedules)
-    own, *others = [(replace(config, estimators=share, warmup=warmup), seed, audit)
-                    for share in shares]
-    from .bench import ProcessPoolExecutor  # through __getattr__ or a patch
-    with ProcessPoolExecutor(max_workers=len(others)) as pool:
-        pending = pool.map(_seed_worker, others)
-        mine = run_single_seed(*own, _schedules)
-        run, *rest = pending
-    for part in (*rest, mine):
-        run.results.update(part.results)
-    run.order = [e.name for e in config.estimators]
-    run.results = {name: run.results[name] for name in run.order}
-    return run
+    if others:
+        from multiprocessing import get_context
+        from .bench import ProcessPoolExecutor  # through __getattr__ or a patch
+        pool = ProcessPoolExecutor(max_workers=len(others), mp_context=get_context("fork"))
+    with pool if others else nullcontext():
+        pending = pool.map(_seed_worker, pooled) if others else ()
+        for seed, rows in own:
+            collect(seed, run_single_seed(config, seed, audit, _schedules, rows, setups[seed]))
+        for (seed, _), part in zip(pooled, pending):
+            collect(seed, part)
 
 
 def run_experiment(config: ExperimentConfig, audit: bool = False,
                    parallel: int = 1, on_seed=None) -> RunReport:
-    """Run every (seed, estimator) pair on up to `parallel` processes.
-
-    Several seeds fan out over a pool of up to one worker per seed.  One
-    seed's roster is split into k = min(parallel, rows) shares instead
-    (`_split_roster`): rows are packed longest first by their estimated
-    seconds, the per-kind µs per step of `_STEP_US` times the steps.  The
-    k - 1 heavier shares go to a pool of k - 1 workers; this process runs
-    the lightest once they are submitted, heavy rows first, and folds its
-    results into the first worker's `SeedRun`, in roster order.  The split
-    is taken only when the estimated saving pays for the workers' start-up
-    (`_POOL_START_S` each).  Every share scores the warmup of the whole
-    roster, so results are bitwise those of a serial run.
+    """Run every (seed, estimator) pair on up to `parallel` processes: the
+    seeds one after another, or above 1 on the one plan of the module doc
+    (`_run_plan`), bitwise a serial run.
 
     ``on_seed``, when given, is called in this process with each `SeedRun`,
-    in seed order, as soon as that seed and every earlier one are done: the
-    pool hands results back in that order, and the serial path calls it after
-    each seed.  So it can write seed k's output while the workers run the
-    later seeds.  A seed that raises stops the run before ``on_seed`` sees it
-    or any later seed."""
+    in seed order, once it holds every part of that seed and of every earlier
+    one: this process runs its own share first, then reads the workers'
+    parts, while they may still run later seeds.  A seed that raises stops
+    the run before ``on_seed`` sees it or any later seed.  Workers are
+    forked, so ``parallel`` above 1 needs ``os.fork``."""
     if parallel < 1:
         raise ConfigError(f"parallel must be >= 1, got {parallel}")
-    workers = min(parallel, len(config.seeds))
-    jobs = [(config, s, audit) for s in config.seeds]
+    if parallel > 1 and not hasattr(os, "fork"):
+        raise ConfigError("parallel above 1 needs os.fork, which this platform lacks")
     seed_runs = []
 
     def done(run: SeedRun) -> None:
@@ -551,16 +554,12 @@ def run_experiment(config: ExperimentConfig, audit: bool = False,
 
     _schedules.clear()  # forked workers inherit it empty
     try:
-        if workers > 1:
-            from .bench import ProcessPoolExecutor  # through __getattr__ or a patch
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for run in pool.map(_seed_worker, jobs):
-                    done(run)
-        elif parallel > 1:  # one seed
-            done(_run_split(config, config.seeds[0], audit, parallel))
+        if parallel > 1:
+            _run_plan(config, audit, parallel, done)
         else:
-            for job in jobs:
-                done(run_single_seed(*job, _schedules))
+            for seed in config.seeds:
+                done(run_single_seed(config, seed, audit, _schedules))
     finally:
         _schedules.clear()
+        _plan.clear()
     return RunReport(config, seed_runs)

@@ -48,17 +48,17 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out-dir", type=Path, default=Path("report"))
     run.add_argument("--format", choices=("table", "csv"), default="table")
     run.add_argument("--parallel", type=int, default=1,
-                     help="number of processes to run on: several seeds run "
-                          "concurrently, one per process; a single seed's "
-                          "estimator rows are split into up to this many "
-                          "shares, longest rows first, one run here and the "
-                          "others in worker processes, when the estimated "
-                          "saving pays for starting them (outputs are the "
-                          "same bytes as a serial run); each seed's run CSV "
-                          "is written as soon as it and every earlier seed "
-                          "are done, and report.json, summary.csv and "
-                          "table.txt once all are (a run that stops early "
-                          "leaves its run CSVs and none of these)")
+                     help="number of processes to run on: the (seed, "
+                          "estimator row) pairs of every seed are packed, "
+                          "longest first, into up to this many shares, one "
+                          "run here and the others in forked workers (needs "
+                          "os.fork), when the estimated saving pays for "
+                          "starting them (outputs are the same bytes as a "
+                          "serial run); a seed's run CSV is written once it "
+                          "and every earlier seed are done (workers' parts are "
+                          "read after this process's share), and report.json, "
+                          "summary.csv and table.txt once all are (a run that "
+                          "stops early leaves its run CSVs and none of these)")
     run.add_argument("--audit", action="store_true",
                      help="check every step's covariance P: report the largest "
                           "|P - P^T| entry and the exact smallest eigenvalue of "

@@ -32,11 +32,14 @@ how much and why.  Run from the repository root:
 `golden.json` (the measure above, over the values the row is compared on)
 next to its rtol, and whether it is within it; it exits 1 if a row moved
 beyond its rtol or changed its failure.  This is the parent-against-change
-table of a change that should keep the outputs.
+table of a change that should keep the outputs.  It then prints the OpenBLAS
+kernel the golden was recorded with and the one running now (`blas_core`):
+the bitwise rows take their bits from that kernel.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
 import os
@@ -119,10 +122,24 @@ def max_change(got: list[float], want: list[float]) -> float:
     return float(np.where(np.isnan(g) & np.isnan(w), 0.0, change).max(initial=0.0))
 
 
+def blas_core() -> str:
+    """The kernel numpy's OpenBLAS picked at run time (a ``DYNAMIC_ARCH``
+    build picks one per CPU, and the bitwise rows take their bits from it),
+    or "unknown" when no library in ``numpy.libs`` names it."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
 def environment() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": blas.get("openblas configuration", blas.get("name")),
+            "blas_core": blas_core(),
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
             "machine": platform.machine()}
 
@@ -197,9 +214,11 @@ def check() -> int:
             print(f"{case:17s} {name:14s} worst {worst:.3g} rtol {rtol:.3g} "
                   f"{'ok' if ok else 'MOVED'}"
                   + ("" if failure == want else f" (failure {failure!r}, was {want!r})"))
-    env = environment()
-    if env != golden["env"]:
-        print(f"recorded on {golden['env']}, running on {env}")
+    env, recorded = environment(), golden["env"]
+    print(f"BLAS core: recorded {recorded.get('blas_core', 'not recorded')}, "
+          f"running {env['blas_core']}")
+    if {key: env.get(key) for key in recorded} != recorded:
+        print(f"recorded on {recorded}, running on {env}")
     return 1 if moved else 0
 
 

@@ -222,13 +222,33 @@ def test_runs_are_deterministic_across_calls():
                                       b.results[name].predictions)
 
 
+def _recording_pool(base, pools: list):
+    """``base`` that records, per pool, its worker count and the jobs it maps."""
+
+    class RecordingPool(base):
+        def __init__(self, max_workers, **kw):
+            pools.append({"workers": max_workers, "jobs": None})
+            super().__init__(max_workers, **kw)
+
+        def map(self, fn, jobs):
+            pools[-1]["jobs"] = list(jobs)
+            return super().map(fn, pools[-1]["jobs"])
+
+    return RecordingPool
+
+
 def test_parallel_seed_execution_matches_sequential(tmp_path, capsys, monkeypatch):
     import nnsse.bench
     from concurrent.futures import ProcessPoolExecutor
     from nnsse.config import load_config
+    from nnsse.report import write_run_csv
 
-    # The network rows draw their initial weights, and the PE its first cloud
-    # and every step's noise, from the estimator's own stream.
+    pools = []
+    monkeypatch.setattr(nnsse.bench, "ProcessPoolExecutor",
+                        _recording_pool(ProcessPoolExecutor, pools))
+    # Three seeds of a roster heavy enough for the pool.  The network rows
+    # draw their initial weights, and the PE its first cloud and every
+    # step's noise, from the estimator's own stream.
     spec = [EstimatorSpec("E4P", "stack", {"stack": "E4P"}),
             EstimatorSpec("E4PTRW", "e4ptrw", {}),
             EstimatorSpec("UAM-LKE", "uam_lke", {}),
@@ -236,15 +256,38 @@ def test_parallel_seed_execution_matches_sequential(tmp_path, capsys, monkeypatc
             EstimatorSpec("NNSSE-UKE", "nnsse_uke", {"network": "5-5-1"}),
             EstimatorSpec("NNSSE-EKE", "nnsse_eke", {"network": "5-5-1"}),
             EstimatorSpec("NNSSE-PE", "nnsse_pe", {"particles": "50"})]
-    cfg = sine_config(spec, steps=400, windows=((0, 400),), seeds=(1, 2, 3))
-    seq = run_experiment(cfg, parallel=1)
-    par = run_experiment(cfg, parallel=2)
-    for rs, rp in zip(seq.seed_runs, par.seed_runs):
-        assert rs.seed == rp.seed
-        for s in spec:
-            assert rs.results[s.name].failure is None, s.name
-            assert (rs.results[s.name].predictions.tobytes()
-                    == rp.results[s.name].predictions.tobytes()), s.name
+    cfg = sine_config(spec, steps=400, windows=((0, 400), (300, 400)), seeds=(1, 2, 3))
+    runs, csvs = {}, {}
+    for parallel in (1, 2, 3, 4):
+        out = tmp_path / f"seeds{parallel}"
+        out.mkdir()
+        runs[parallel] = run_experiment(cfg, parallel=parallel,
+                                        on_seed=lambda run: write_run_csv(out, run)).seed_runs
+        csvs[parallel] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert [pool["workers"] for pool in pools] == [1, 2, 3]
+    for pool in pools:
+        assert [seed for seed, _ in pool["jobs"]] == sorted(seed for seed, _ in pool["jobs"])
+    # Three equal seeds in three shares: LPT gives each seed a share of its
+    # own.  In two or four shares, the shares cross seeds: the pool's jobs
+    # hold rows of several seeds, and a seed's rows are split over processes.
+    whole = list(range(len(spec)))
+    assert [(seed, sorted(rows)) for seed, rows in pools[1]["jobs"]] == [(2, whole), (3, whole)]
+    for pool in (pools[0], pools[2]):
+        pooled = [seed for seed, rows in pool["jobs"] for _ in rows]
+        assert len(set(pooled)) > 1 and any(pooled.count(s) < len(spec) for s in pooled)
+    assert sorted(csvs[1]) == ["run_seed1.csv", "run_seed2.csv", "run_seed3.csv"]
+    for parallel in (2, 3, 4):
+        assert csvs[parallel] == csvs[1]
+        assert [run.seed for run in runs[parallel]] == [1, 2, 3]
+        for rs, rp in zip(runs[1], runs[parallel]):
+            assert (rp.order, list(rp.results), rp.warmup) == (rs.order, list(rs.results),
+                                                                rs.warmup)
+            for name in rs.order:
+                a, b = rs.results[name], rp.results[name]
+                assert a.failure is None, name
+                assert a.predictions.tobytes() == b.predictions.tobytes(), name
+                assert a.errors.tobytes() == b.errors.tobytes(), name
+                assert (a.window_errors, a.failure) == (b.window_errors, b.failure), name
 
     # One seed: its roster is split between this process and a worker.  Only
     # NNSSE-UKE's input window (25) sets the warmup, which the other share
@@ -260,24 +303,16 @@ def test_parallel_seed_execution_matches_sequential(tmp_path, capsys, monkeypatc
     config.write_text(f"[trajectory]\nsource = file\npath = {tmp_path / 'spike.csv'}\n"
                       "[run]\nwindows = 0:300\n" + _roster(rows), encoding="utf-8")
     cfg = load_config(config)
-    warmup, shares = nnsse.bench._split_roster(cfg, 1, 2)
     serial = run_experiment(cfg).seed_runs[0]
     failed = {name for name, res in serial.results.items() if res.failure}
-    assert warmup == serial.warmup == 25 and len(shares) == 2
-    assert failed == set(rows) - {"UAM-P", "E2P-LKE"}
-    assert all(failed & names and names - failed
-               for names in ({row.name for row in share} for share in shares))
-    pools = []
-
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(nnsse.bench, "ProcessPoolExecutor", RecordingPool)
+    assert serial.warmup == 25 and failed == set(rows) - {"UAM-P", "E2P-LKE"}
     seen = []
     split = run_experiment(cfg, parallel=2, on_seed=seen.append).seed_runs
-    assert pools == [1] and seen == split
+    assert len(pools) == 4 and pools[-1]["workers"] == 1 and seen == split
+    [(seed, worker_rows)] = pools[-1]["jobs"]
+    worker = {list(rows)[i] for i in worker_rows}
+    assert seed == 1 and all(failed & names and names - failed
+                             for names in (worker, set(rows) - worker))
     assert split[0].order == serial.order == list(rows)
     assert list(split[0].results) == list(rows) and split[0].warmup == 25
     for name in rows:
@@ -291,62 +326,63 @@ def test_parallel_seed_execution_matches_sequential(tmp_path, capsys, monkeypatc
                                            capsys)
         assert code == EXIT_ESTIMATOR_FAILURE
     assert files[1] == files[2] and list(files[1]) == ["run_seed1.csv"]
-    assert pools == [1, 1]
+    assert len(pools) == 5
 
-    # Too short for the whole roster's warmup: the same error, before any pool.
-    short = sine_config(cfg.estimators, steps=27, windows=((0, 27),))
+
+@pytest.mark.parametrize("seeds", [(1,), (1, 2)], ids=["one-seed", "two-seeds"])
+def test_a_trajectory_too_short_for_the_warmup_fails_before_any_pool(seeds, monkeypatch):
+    import nnsse.bench
+
+    pools = []
+    monkeypatch.setattr(nnsse.bench, "ProcessPoolExecutor", _recording_pool(InProcessPool, pools))
+    roster = [EstimatorSpec("NNSSE-UKE", "nnsse_uke", {}),
+              EstimatorSpec("NNSSE-5-5-1", "nnsse_uke", {"network": "5-5-1"})]
+    short = sine_config(roster, steps=27, windows=((0, 27),), seeds=seeds)
     messages = []
     for parallel in (1, 2):
         with pytest.raises(ConfigError) as refused:
             run_experiment(short, parallel=parallel)
         messages.append(str(refused.value))
     assert messages == ["trajectory too short (27 steps) for warmup 25 + horizon 3"] * 2
-    assert pools == [1, 1]
+    assert pools == []
 
 
-def test_worker_pool_is_capped_at_the_seeds_or_the_gated_shares(monkeypatch):
-    requested = []
+def test_worker_pool_is_capped_at_the_gated_shares(monkeypatch):
+    import nnsse.bench
 
-    class RecordingExecutor:
-        """Stand-in pool: records its worker count and maps in this process."""
-
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr("nnsse.bench.ProcessPoolExecutor", RecordingExecutor)
+    pools = []
+    monkeypatch.setattr(nnsse.bench, "ProcessPoolExecutor", _recording_pool(InProcessPool, pools))
+    # Cheap rows, on one seed or several: the plan would save less than a
+    # worker costs to start, so no pool starts and this process runs them.
     cheap = [EstimatorSpec("E2P", "stack", {"stack": "E2P"}),
              EstimatorSpec("UAM-P", "uam_lke", {"order": "1"}),
              EstimatorSpec("E4PTRW", "e4ptrw", {})]
-    # A multi-seed run fans out seeds, at most one worker per seed.
-    two = sine_config(cheap, steps=200, windows=((0, 200),), seeds=(1, 2))
-    assert [r.seed for r in run_experiment(two, parallel=8).seed_runs] == [1, 2]
-    assert requested == [2]
-    # One cheap seed: a split would save less than the pool costs to start.
-    run_experiment(sine_config(cheap, steps=400, windows=((0, 400),)), parallel=8)
-    assert requested == [2]
-    # One heavy seed: k = min(parallel, rows) = 3 shares, two on the pool.
+    for seeds in ((1,), (1, 2)):
+        cfg = sine_config(cheap, steps=400, windows=((0, 400),), seeds=seeds)
+        plan = run_experiment(cfg, parallel=8).seed_runs
+        assert pools == [] and [run.seed for run in plan] == list(seeds)
+        assert all(run.order == list(run.results) == ["E2P", "UAM-P", "E4PTRW"]
+                   for run in plan)
+    # Heavy rows: k = min(parallel, items) shares over all seeds' rows, and a
+    # worker for each share but the lightest, which this process runs.
     heavy = [EstimatorSpec(f"UKE{i}", "nnsse_uke", {}) for i in (1, 2, 3)]
-    cfg = sine_config(heavy, steps=600, windows=((0, 600),))
-    seen = []
-    split = run_experiment(cfg, parallel=8, on_seed=seen.append).seed_runs
-    assert requested == [2, 2] and seen == split
-    serial = run_experiment(cfg).seed_runs[0]
-    assert split[0].order == list(split[0].results) == ["UKE1", "UKE2", "UKE3"]
-    for name in split[0].order:
-        assert (split[0].results[name].predictions.tobytes()
-                == serial.results[name].predictions.tobytes()), name
-    # Two heavy rows on parallel 2: one worker.
-    run_experiment(sine_config(heavy[:2], steps=600, windows=((0, 600),)), parallel=2)
-    assert requested == [2, 2, 1]
+    # Equal costs: ties go to the first share with the least load, in item
+    # order, and the lightest share is the first of equal ones.
+    for seeds, parallel, jobs in [
+            ((1,), 8, [(1, [1]), (1, [2])]),
+            ((1,), 2, [(1, [0, 2])]),
+            ((1, 2), 8, [(1, [1]), (1, [2]), (2, [0]), (2, [1]), (2, [2])]),
+            ((1, 2), 2, [(1, [1]), (2, [0, 2])])]:
+        cfg = sine_config(heavy, steps=400, windows=((0, 400),), seeds=seeds)
+        seen = []
+        plan = run_experiment(cfg, parallel=parallel, on_seed=seen.append).seed_runs
+        assert pools[-1] == {"workers": min(parallel, 3 * len(seeds)) - 1, "jobs": jobs}
+        assert seen == plan
+        for rp, rs in zip(plan, run_experiment(cfg).seed_runs, strict=True):
+            assert rp.seed == rs.seed and rp.order == list(rp.results) == ["UKE1", "UKE2", "UKE3"]
+            for name in rp.order:
+                assert (rp.results[name].predictions.tobytes()
+                        == rs.results[name].predictions.tobytes()), name
 
 
 def test_rows_are_packed_longest_first_into_shares_lightest_first():
@@ -361,7 +397,7 @@ def test_rows_are_packed_longest_first_into_shares_lightest_first():
 class InProcessPool:
     """Stand-in pool that maps in this process."""
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None):
         pass
 
     def __enter__(self):
@@ -442,15 +478,21 @@ def test_only_the_first_seed_of_each_run_calls_lke_step(pool, monkeypatch):
     monkeypatch.setattr(nnsse.estimators, "lke_step", counting_step)
     monkeypatch.setattr(nnsse.estimators, "_lke_prior_cov", counting_prior)
     monkeypatch.setattr(nnsse.bench, "run_single_seed", seed_run)
+    pools = []
     if pool is not None:
-        monkeypatch.setattr(nnsse.bench, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(nnsse.bench, "ProcessPoolExecutor", _recording_pool(pool, pools))
+        monkeypatch.setattr(nnsse.bench, "_POOL_START_S", 0.0)
     for _ in range(2):  # a second run recomputes: no schedule outlives its run
         calls.clear()
         priors.clear()
         run_experiment(cfg, parallel=1 if pool is None else 2)
         # Later seeds reuse the gain lke_step formed: no prior is formed again.
-        assert calls == {1: today} and len(priors) == today
+        # In the pool's shares, which cross seeds, a row's first job may be a
+        # later seed's; every job here shares one store all the same.
+        assert (calls == {1: today} if pool is None else sum(calls.values()) == today)
+        assert len(priors) == today
     assert today > 599  # the sine filter never freezes
+    assert len(pools) == (0 if pool is None else 2) and all(p["jobs"] for p in pools)
 
 
 def test_one_seed_marks_only_start_and_fixed_point_read_only():
@@ -502,19 +544,21 @@ def test_schedule_store_is_empty_after_every_run(pool, monkeypatch):
     plain_seed = nnsse.bench.run_single_seed
     filled = []
 
-    def seed_run(config, s, audit, schedules):
+    def seed_run(config, s, audit, schedules, rows=None, setup=None):
         assert schedules is nnsse.bench._schedules
-        if s == 1:
+        if not filled:
             assert schedules == {}  # emptied before the first seed
-        run = plain_seed(config, s, audit, schedules)
+        run = plain_seed(config, s, audit, schedules, rows, setup)
         filled.append(len(schedules))
         if s == fail_at:
             raise RuntimeError(f"seed {s} failed")
         return run
 
     monkeypatch.setattr(nnsse.bench, "run_single_seed", seed_run)
+    pools = []
     if pool is not None:
-        monkeypatch.setattr(nnsse.bench, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(nnsse.bench, "ProcessPoolExecutor", _recording_pool(pool, pools))
+        monkeypatch.setattr(nnsse.bench, "_POOL_START_S", 0.0)
     parallel = 1 if pool is None else 2
     cfg = sine_config(LINEAR_ROSTER[:2], steps=200, windows=((0, 200),), seeds=(1, 2))
     for fail_at in (None, 2):
@@ -525,7 +569,12 @@ def test_schedule_store_is_empty_after_every_run(pool, monkeypatch):
         else:
             with pytest.raises(RuntimeError, match="seed 2 failed"):
                 run_experiment(cfg, parallel=parallel)
-        assert filled == [2, 2] and nnsse.bench._schedules == {}
+        # The pool's plan runs jobs of one row: this process's share is the
+        # first row of seeds 1 and 2, where seed 2 fails, the pool's the second.
+        assert filled == ([2, 2] if pool is None
+                          else [1, 1, 2, 2] if fail_at is None else [1, 1])
+        assert nnsse.bench._schedules == {}
+    assert len(pools) == (0 if pool is None else 2)
 
 
 def test_import_leaves_the_process_pool_unloaded():
@@ -537,6 +586,46 @@ def test_import_leaves_the_process_pool_unloaded():
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_pool_job_imports_no_module():
+    """Pool workers inherit every module the set-up of the seeds loaded, so
+    a job imports none.  A fresh interpreter: this one has loaded them all."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys\n"
+        "import nnsse.bench as bench\n"
+        "plain = bench._seed_worker\n"
+        "def recording(job):\n"
+        "    before = set(sys.modules)\n"
+        "    run = plain(job)\n"
+        "    run.imported = sorted(set(sys.modules) - before)\n"
+        "    return run\n"
+        "bench._seed_worker = recording\n"
+        "rows = [bench.EstimatorSpec('UKE', 'nnsse_uke', {'network': '5-5-1'}),\n"
+        "        bench.EstimatorSpec('P', 'uam_lke', {'order': '1'})]\n"
+        "config = bench.ExperimentConfig({'steps': 600}, rows, seeds=[1, 2])\n"
+        "runs = bench.run_experiment(config, parallel=2).seed_runs\n"
+        "imported = [run.imported for run in runs if hasattr(run, 'imported')]\n"
+        "assert imported, 'no pool job ran'\n"
+        "assert not any(imported), imported\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_parallel_without_fork_is_a_config_error_before_any_set_up(monkeypatch):
+    import nnsse.bench
+
+    set_up = []
+    monkeypatch.setattr(nnsse.bench, "_seed_setup", lambda *args: set_up.append(args))
+    monkeypatch.delattr(nnsse.bench.os, "fork")
+    cfg = sine_config([EstimatorSpec("E2P", "stack", {"stack": "E2P"})], steps=200,
+                      windows=((0, 200),), seeds=(1, 2))
+    with pytest.raises(ConfigError, match="needs os.fork"):
+        run_experiment(cfg, parallel=2)
+    assert set_up == []
 
 
 @pytest.mark.parametrize("parallel", [0, -2])
@@ -849,13 +938,16 @@ def test_a_run_a_later_seed_stops_leaves_no_report_of_an_earlier_run(pool, tmp_p
         return plain_seed(config, s, *args)
 
     monkeypatch.setattr(nnsse.bench, "run_single_seed", seed_run)
-    if pool is not None:
-        monkeypatch.setattr(nnsse.bench, "ProcessPoolExecutor", pool)
+    pools = []
+    if pool is not None:  # seed 1 runs in this process, seed 2 in the pool
+        monkeypatch.setattr(nnsse.bench, "ProcessPoolExecutor", _recording_pool(pool, pools))
+        monkeypatch.setattr(nnsse.bench, "_POOL_START_S", 0.0)
     config.write_text(config.read_text(encoding="utf-8").replace("steps = 200", "steps = 250"),
                       encoding="utf-8")
     with pytest.raises(KeyboardInterrupt):
         main(["run", "--config", str(config), "--out-dir", str(out),
               "--parallel", "1" if pool is None else "2"])
+    assert pools == ([] if pool is None else [{"workers": 1, "jobs": [(2, [0])]}])
     later = {p.name: p.read_bytes() for p in out.iterdir()}
     assert sorted(later) == ["run_seed1.csv", "run_seed2.csv"]
     assert later["run_seed2.csv"] == earlier["run_seed2.csv"]
@@ -876,8 +968,9 @@ def test_on_seed_sees_each_seed_once_in_seed_order_as_it_ends(pool, monkeypatch)
         return plain_seed(config, s, *args)
 
     monkeypatch.setattr(nnsse.bench, "run_single_seed", seed_run)
-    if pool is not None:  # a lazy map: each seed runs when its result is asked for
+    if pool is not None:  # a lazy map: a pool job runs when its result is asked for
         monkeypatch.setattr(nnsse.bench, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(nnsse.bench, "_POOL_START_S", 0.0)
     cfg = sine_config([EstimatorSpec("E2P", "stack", {"stack": "E2P"})], steps=200,
                       windows=((0, 200),), seeds=(3, 1, 2))
     seen = []
@@ -887,15 +980,29 @@ def test_on_seed_sees_each_seed_once_in_seed_order_as_it_ends(pool, monkeypatch)
         events.append(("on", run.seed))
 
     report = run_experiment(cfg, parallel=1 if pool is None else 2, on_seed=on_seed)
-    assert events == [(kind, s) for s in (3, 1, 2) for kind in ("run", "on")]
+    if pool is None:
+        assert events == [(kind, s) for s in (3, 1, 2) for kind in ("run", "on")]
+    else:
+        # This process runs the lighter share, seed 1, first; seed 1 waits
+        # for seed 3, then seeds 3 and 2 come back from the pool.
+        assert events == [("run", 1), ("run", 3), ("on", 3), ("on", 1), ("run", 2),
+                          ("on", 2)]
     assert len(seen) == 3 and all(a is b for a, b in zip(seen, report.seed_runs))
 
 
-def test_on_seed_with_a_process_pool_sees_every_seed_in_order():
+def test_on_seed_with_a_process_pool_sees_every_seed_in_order(monkeypatch):
+    import nnsse.bench
+    from concurrent.futures import ProcessPoolExecutor
+
+    pools = []
+    monkeypatch.setattr(nnsse.bench, "ProcessPoolExecutor",
+                        _recording_pool(ProcessPoolExecutor, pools))
+    monkeypatch.setattr(nnsse.bench, "_POOL_START_S", 0.0)
     cfg = sine_config([EstimatorSpec("E2P", "stack", {"stack": "E2P"})], steps=200,
                       windows=((0, 200),), seeds=(3, 1, 2))
     seen = []
     report = run_experiment(cfg, parallel=2, on_seed=seen.append)
+    assert pools == [{"workers": 1, "jobs": [(3, [0]), (2, [0])]}]
     assert [run.seed for run in seen] == [3, 1, 2]
     assert all(a is b for a, b in zip(seen, report.seed_runs))
 
